@@ -55,9 +55,6 @@ from .grading import (
 from .hermitian import (
     HermitianSpace,
     SuElement,
-    SuViolation,
-    check_su,
-    herm_form,
     random_su,
     su_element,
     wedge_j,

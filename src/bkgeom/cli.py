@@ -62,12 +62,12 @@ def _emit(report: dict, out_path: str | None) -> None:
 def _su_input(args) -> hermitian.SuElement:
     M = _read_matrix(args.matrix)
     space = hermitian.HermitianSpace(M.shape[0] - 1)
-    res = hermitian.check_su(M, space, args.tol)
-    if isinstance(res, hermitian.SuViolation):
+    try:
+        return hermitian.su_element(M, space, args.tol)
+    except hermitian.SuMembershipError as exc:
         raise ValidationFailure(
-            f"matrix fails su(n,1) membership: {res.identity} residual "
-            f"{res.residual:.6e} at scale {res.scale:.6e}")
-    return res
+            f"matrix fails su(n,1) membership: {exc.identity} residual "
+            f"{exc.residual:.6e} at scale {exc.scale:.6e}") from None
 
 
 def _cmd_classify(args) -> dict:
@@ -91,19 +91,20 @@ def _cmd_grade(args) -> dict:
     A = _su_input(args)
     basis = grading.grading_basis(A.space.n, validate=False)
     parts = grading.grade_split(A, basis)
-    sf = grading.structure_functions(A, basis)
     out = {
         "grade_norms": {str(k): float(np.linalg.norm(v)) for k, v in parts.items()},
         "split_completeness": float(np.linalg.norm(
             sum(parts.values()) - A.matrix) / max(1.0, np.linalg.norm(A.matrix))),
     }
-    if isinstance(sf, grading.StructureFunctions):
-        out["structure_functions"] = jsonio.structure_functions_to_json(
-            sf.rho, sf.u, sf.f, sf.scale)
-        out["reconstruction_residual"] = sf.residual
-    else:
+    try:
+        sf = grading.structure_functions(A, basis)
+    except grading.NormalizationError as exc:
         out["structure_functions"] = None
-        out["rejection"] = sf.message
+        out["rejection"] = str(exc)
+        return out
+    out["structure_functions"] = jsonio.structure_functions_to_json(
+        sf.rho, sf.u, sf.f, sf.scale)
+    out["reconstruction_residual"] = sf.residual
     return out
 
 
@@ -209,43 +210,46 @@ def _cmd_selftest(args) -> dict:
     return run_selftest(seed=args.seed, scale=args.scale, fd_step=args.fd_step)
 
 
+# every option a subcommand may take; each subcommand lists the ones it reads
+_OPTIONS = {
+    "matrix": (("--matrix", "-m"), dict(default=None, help="matrix JSON path ('-' for stdin)")),
+    "n": (("--n",), dict(type=int, default=2)),
+    "tol": (("--tol",), dict(type=float, default=1e-8)),
+    "seed": (("--seed",), dict(type=int, default=0)),
+    "samples": (("--samples",), dict(type=int, default=4)),
+    "fd_step": (("--fd-step",), dict(dest="fd_step", type=float, default=1e-4)),
+    "sigma_sign": (("--sigma-sign",), dict(
+        dest="sigma_sign", choices=("paper", "flipped"), default="flipped",
+        help="section quadric sign convention; 'flipped' is the one reproducing "
+             "the projective-space model")),
+    "lambda0": (("--lambda0",), dict(type=float, default=0.3)),
+}
+
+_COMMANDS = [
+    ("classify", _cmd_classify, ("matrix", "tol")),
+    ("grade", _cmd_grade, ("matrix", "tol")),
+    ("charpoly", _cmd_charpoly, ("matrix", "tol")),
+    ("curvature", _cmd_curvature, ("matrix", "n", "tol", "seed")),
+    ("verify-cpn", _cmd_verify_cpn, ("n", "seed", "samples", "fd_step")),
+    ("verify-prop", _cmd_verify_prop,
+     ("matrix", "n", "seed", "samples", "fd_step", "sigma_sign")),
+    ("tower", _cmd_tower, ("n", "seed", "samples", "fd_step", "lambda0")),
+    ("duality", _cmd_duality, ("n", "seed", "samples")),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bkgeom",
         description="Bochner-Kaehler geometry toolkit: orbit classification, "
                     "curvature templates and finite-difference verification.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, matrix=False, geom=False):
-        if matrix:
-            sp.add_argument("--matrix", "-m", default=None,
-                            help="matrix JSON path ('-' for stdin)")
-        sp.add_argument("--n", type=int, default=2)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=4)
-        sp.add_argument("--out", default=None, help="also write the report here")
-        if geom:
-            sp.add_argument("--fd-step", dest="fd_step", type=float, default=1e-4)
-            sp.add_argument("--sigma-sign", dest="sigma_sign",
-                            choices=("paper", "flipped"), default="flipped",
-                            help="section quadric sign convention; 'flipped' is "
-                                 "the one reproducing the projective-space model")
-
-    for name, fn, needs_matrix, needs_geom in [
-        ("classify", _cmd_classify, True, False),
-        ("grade", _cmd_grade, True, False),
-        ("charpoly", _cmd_charpoly, True, False),
-        ("curvature", _cmd_curvature, True, False),
-        ("verify-cpn", _cmd_verify_cpn, False, True),
-        ("verify-prop", _cmd_verify_prop, True, True),
-        ("tower", _cmd_tower, False, True),
-        ("duality", _cmd_duality, False, False),
-    ]:
+    for name, fn, options in _COMMANDS:
         sp = sub.add_parser(name)
-        common(sp, matrix=needs_matrix, geom=needs_geom)
-        if name == "tower":
-            sp.add_argument("--lambda0", type=float, default=0.3)
+        for opt in options:
+            flags, kwargs = _OPTIONS[opt]
+            sp.add_argument(*flags, **kwargs)
+        sp.add_argument("--out", default=None, help="also write the report here")
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("selftest")

@@ -14,7 +14,8 @@ Normalized elements of the form
 are parameterized by the structure functions (rho, u, f) with
 rho in u(n-1), u in C^(n-1), f real.  `structure_functions` inverts this
 template after rescaling the input so its g^-2 coefficient is 1/2 (the
-applied scale is reported); `assemble` is the forward map.
+applied scale is reported, and a vanishing g^-2 part raises
+NormalizationError); `assemble` is the forward map.
 
 Sign conventions are validated numerically, not read off the block
 displays: the grading element is normalized so that
@@ -178,15 +179,12 @@ class StructureFunctions:
     residual: float          # relative reconstruction error of the template
 
 
-@dataclass(frozen=True)
-class StructureRejection:
-    """The g^-2 component could not be normalized to e_minus2 / 2."""
+class NormalizationError(ValueError):
+    """The g^-2 component vanishes, so it cannot be normalized to e_minus2 / 2."""
 
-    coefficient: float
-    message: str
-
-    def __bool__(self):
-        return False
+    def __init__(self, coefficient: float):
+        super().__init__("g^-2 component vanishes; cannot normalize")
+        self.coefficient = coefficient
 
 
 def assemble(rho, u, f, basis: GradingBasis) -> np.ndarray:
@@ -199,11 +197,12 @@ def assemble(rho, u, f, basis: GradingBasis) -> np.ndarray:
 
 
 def structure_functions(A: SuElement, basis: GradingBasis | None = None,
-                        tol: float = DEFAULT_TOL):
+                        tol: float = DEFAULT_TOL) -> StructureFunctions:
     """Extract (rho, u, f) after normalizing the g^-2 coefficient to 1/2.
 
     If the g^-2 part of A is c * e_minus2 with c != 0, A is rescaled by
-    1/(2c) first and that scale is reported; a vanishing c is a rejection.
+    1/(2c) first and that scale is reported; a vanishing c raises
+    NormalizationError.
     The residual field records how far the rescaled input is from the
     exact template span (nonzero g^-1 part or coroot component show up
     there, not as silent errors).
@@ -214,7 +213,7 @@ def structure_functions(A: SuElement, basis: GradingBasis | None = None,
     scale_ref = max(1.0, float(np.linalg.norm(M)))
     c = basis.line_coefficient(M, -2)
     if abs(c) <= tol * scale_ref:
-        return StructureRejection(c, "g^-2 component vanishes; cannot normalize")
+        raise NormalizationError(c)
     s = 1.0 / (2.0 * c)
     Mn = s * M
     m = basis.n - 1

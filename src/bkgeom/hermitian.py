@@ -116,11 +116,6 @@ class HermitianSpace:
         return abs(self.g(x, x)) <= tol * max(1.0, float(np.vdot(x, x).real))
 
 
-def herm_form(x, y, space: HermitianSpace) -> complex:
-    """h(x, y) on the given space; g and omega are its real/imaginary parts."""
-    return space.herm(x, y)
-
-
 @dataclass(frozen=True)
 class SuElement:
     """A matrix certified to lie in su(n,1) within `tolerance_used`."""
@@ -141,18 +136,6 @@ class SuElement:
         return SuElement(self.space, self.matrix * float(c), self.tolerance_used)
 
 
-@dataclass(frozen=True)
-class SuViolation:
-    """Report naming the violated membership identity and its residual."""
-
-    identity: str  # "skew-adjoint" or "traceless"
-    residual: float
-    scale: float
-
-    def __bool__(self):
-        return False
-
-
 def su_residuals(A, space: HermitianSpace) -> tuple[float, float, float]:
     """(skew-adjointness residual, trace residual, matrix scale) in Frobenius norm."""
     A = np.asarray(A, dtype=complex)
@@ -163,29 +146,38 @@ def su_residuals(A, space: HermitianSpace) -> tuple[float, float, float]:
     return r_skew, r_tr, scale
 
 
-def check_su(A, space: HermitianSpace, tol: float = DEFAULT_TOL):
-    """Certify A in su(n,1) or return a violation report.
+class SuMembershipError(ValueError):
+    """A matrix failed su(n,1) membership: the identity, its residual and the scale."""
+
+    def __init__(self, identity: str, residual: float, scale: float):
+        super().__init__(f"not in su(n,1): {identity} residual {residual:.3e}")
+        self.identity = identity  # "skew-adjoint" or "traceless"
+        self.residual = residual
+        self.scale = scale
+
+
+class NonFiniteError(ValueError):
+    """A matrix holds NaN or infinite entries, which no certificate may accept."""
+
+
+def su_element(A, space: HermitianSpace, tol: float = DEFAULT_TOL) -> SuElement:
+    """Certify A in su(n,1) or raise SuMembershipError.
 
     Residuals are relative to the Frobenius norm of A; the certificate
-    records the tolerance that was used.
+    records the tolerance that was used.  Non-finite entries raise
+    NonFiniteError before any residual is formed.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape != (space.dim, space.dim):
         raise ValueError("matrix dimension does not match the space")
+    if not np.isfinite(A).all():
+        raise NonFiniteError("matrix has non-finite entries")
     r_skew, r_tr, scale = su_residuals(A, space)
     if r_skew > tol * scale:
-        return SuViolation("skew-adjoint", r_skew, scale)
+        raise SuMembershipError("skew-adjoint", r_skew, scale)
     if r_tr > tol * scale:
-        return SuViolation("traceless", r_tr, scale)
+        raise SuMembershipError("traceless", r_tr, scale)
     return SuElement(space, A, tol)
-
-
-def su_element(A, space: HermitianSpace, tol: float = DEFAULT_TOL) -> SuElement:
-    """check_su that raises instead of reporting."""
-    res = check_su(A, space, tol)
-    if isinstance(res, SuViolation):
-        raise ValueError(f"not in su(n,1): {res.identity} residual {res.residual:.3e}")
-    return res
 
 
 def su_project(A, space: HermitianSpace) -> np.ndarray:
@@ -229,6 +221,10 @@ def group_conjugator(rng: np.random.Generator, space: HermitianSpace,
     return scipy.linalg.expm(X)
 
 
+class _Redraw(Exception):
+    """The seeded draw jammed or its derived eigenvalue collided; draw again."""
+
+
 def _separated_values(rng: np.random.Generator, count: int, taken=(),
                       lo: float = -1.5, hi: float = 1.5,
                       min_sep: float = 0.25) -> list[float]:
@@ -238,7 +234,7 @@ def _separated_values(rng: np.random.Generator, count: int, taken=(),
     while len(vals) < count:
         guard += 1
         if guard > 10000:
-            raise RuntimeError("could not draw separated eigenvalues")
+            raise _Redraw
         c = float(rng.uniform(lo, hi))
         if all(abs(c - v) >= min_sep for v in list(taken) + vals):
             vals.append(c)
@@ -290,11 +286,20 @@ def random_su(seed: int, space: HermitianSpace, profile: str = "generic",
 
     Constructed profiles draw well-separated eigenvalues so that orbit
     classification at desk tolerances has honest margins, and are
-    conjugated by a random SU(n,1) element before certification.
+    conjugated by a random SU(n,1) element before certification.  A draw
+    whose rejection sampler jams, or whose trace-derived eigenvalue
+    collides with the others, is redrawn from seed + 90001.
     """
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    rng = np.random.default_rng(seed)
+    try:
+        return _draw(np.random.default_rng(seed), space, profile, tol, epsilon)
+    except _Redraw:
+        return random_su(seed + 90001, space, profile, tol, epsilon)
+
+
+def _draw(rng: np.random.Generator, space: HermitianSpace, profile: str,
+          tol: float, epsilon: int) -> SuElement:
     d = space.dim
 
     if profile == "generic":
@@ -305,7 +310,7 @@ def random_su(seed: int, space: HermitianSpace, profile: str = "generic",
         lam = _separated_values(rng, space.n)
         last = -sum(lam)
         if any(abs(last - v) < 0.25 for v in lam):
-            return random_su(seed + 90001, space, profile, tol)
+            raise _Redraw
         diag = np.diag(1j * np.array(lam + [last]))
         G = group_conjugator(rng, space)
         A = G @ diag @ np.linalg.inv(G)
@@ -327,7 +332,7 @@ def random_su(seed: int, space: HermitianSpace, profile: str = "generic",
             singles = _separated_values(rng, space.n - 2, taken=[lam1])
             last = -2.0 * lam1 - sum(singles)
             if any(abs(last - v) < 0.25 for v in singles + [lam1]):
-                return random_su(seed + 90001, space, profile, tol, epsilon)
+                raise _Redraw
             others = singles + [last]
         npl, nmi = _null_pair(space)
         e1 = npl
@@ -347,7 +352,7 @@ def random_su(seed: int, space: HermitianSpace, profile: str = "generic",
             singles = _separated_values(rng, space.n - 3, taken=[lam1])
         last = -3.0 * lam1 - sum(singles)
         if space.n > 2 and any(abs(last - v) < 0.25 for v in singles + [lam1]):
-            return random_su(seed + 90001, space, profile, tol, epsilon)
+            raise _Redraw
         if space.n == 2:
             spectrum = [0.0, 0.0, 0.0]
         else:
@@ -372,7 +377,7 @@ def random_su(seed: int, space: HermitianSpace, profile: str = "generic",
         singles = _separated_values(rng, space.n - 2, taken=[b])
         last = -2.0 * b - sum(singles)
         if any(abs(last - v) < 0.25 for v in singles):
-            return random_su(seed + 90001, space, profile, tol)
+            raise _Redraw
         imag = singles + [last]
     npl, nmi = _null_pair(space)
     e1 = npl

@@ -3,7 +3,8 @@
 Complex matrices travel as {"n": int, "matrix": [[[re, im], ...], ...]}
 row-major.  Writers emit floats at 17 significant digits (enough to
 round-trip binary64 exactly) with sorted keys and fixed separators, so
-identical data always serializes to identical bytes.
+identical data always serializes to identical bytes.  The matrix reader
+refuses NaN and infinite entries with `hermitian.NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
+
+from .hermitian import NonFiniteError
 
 
 def _fmt_float(x: float) -> str:
@@ -74,6 +77,8 @@ def matrix_from_json(doc) -> np.ndarray:
         raise ValueError("matrix JSON is not square")
     if "n" in doc and int(doc["n"]) != A.shape[0] - 1:
         raise ValueError("matrix JSON 'n' does not match matrix size")
+    if not np.isfinite(A).all():
+        raise NonFiniteError("matrix has non-finite entries")
     return A
 
 

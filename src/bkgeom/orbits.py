@@ -277,7 +277,7 @@ def char_poly(A: SuElement, tol: float = 1e-10) -> CharPoly:
     factorized polynomial of the rescaled element on a sample circle, and
     maps back through the scale.
     """
-    from .grading import StructureFunctions, grading_basis, structure_functions
+    from .grading import NormalizationError, grading_basis, structure_functions
 
     M = A.matrix
     d = M.shape[0]
@@ -287,8 +287,11 @@ def char_poly(A: SuElement, tol: float = 1e-10) -> CharPoly:
     factored_residual = None
     displayed_residual = None
     basis = grading_basis(A.space.n, validate=False)
-    sf = structure_functions(A, basis)
-    if isinstance(sf, StructureFunctions) and sf.residual < 1e-6:
+    try:
+        sf = structure_functions(A, basis)
+    except NormalizationError:
+        sf = None
+    if sf is not None and sf.residual < 1e-6:
         s = sf.scale
         radius = 2.0 * max(1.0, float(np.abs(w).max()))
         ts = radius * np.exp(2j * np.pi * (np.arange(24) + 0.37) / 24)

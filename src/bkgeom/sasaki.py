@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .curvature import KaehlerModel
 from .fdgeom import ChartMetric, christoffel, cone_metric_chart, metric_partials, riemann, sectional
 
 
@@ -67,14 +68,6 @@ def ellipsoid_chart(axes) -> ChartMetric:
     return ChartMetric(m, ev)
 
 
-def _ambient_complex_structure(m_amb: int) -> np.ndarray:
-    k = m_amb // 2
-    J = np.zeros((m_amb, m_amb))
-    J[:k, k:] = -np.eye(k)
-    J[k:, :k] = np.eye(k)
-    return J
-
-
 def hopf_field(m: int, radius: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     """The circle-action field xi(z) = iz of S^m(radius), m odd, in chart coordinates.
 
@@ -84,7 +77,7 @@ def hopf_field(m: int, radius: float = 1.0) -> Callable[[np.ndarray], np.ndarray
     """
     if m % 2 == 0:
         raise ValueError("the circle-action field needs an odd-dimensional sphere")
-    Jamb = _ambient_complex_structure(m + 1)
+    Jamb = KaehlerModel((m + 1) // 2).J
 
     def xi(x):
         q = sphere_embedding(x, radius)
@@ -262,15 +255,6 @@ def cpn_quotient_chart(n: int, radius: float = 1.0) -> ChartMetric:
     return ChartMetric(2 * n, ev)
 
 
-def holomorphic_pair(chart: ChartMetric, n: int, p, X):
-    """(X, JX) in the CP^n quotient chart, J acting through the horizontal lift."""
-    p = np.asarray(p, dtype=float)
-    X = np.asarray(X, dtype=float)
-    # in the affine chart the complex structure is the coordinate one
-    J = _ambient_complex_structure(2 * n)
-    return X, J @ X
-
-
 # -- the full pipeline ---------------------------------------------------------
 
 
@@ -333,11 +317,11 @@ def cpn_pipeline(n: int, fd_step: float = 1e-4, seed: int = 0,
         relation = max(relation, cone_relation_residual(data.chart, x, fd_step))
 
     chart = cpn_quotient_chart(n, 1.0)
+    J0 = KaehlerModel(n).J   # in the affine chart the complex structure is the coordinate one
     ks = []
     for _ in range(max(samples, 3)):
         p = rng.uniform(-0.5, 0.5, 2 * n)
         X = rng.standard_normal(2 * n)
-        X, JX = holomorphic_pair(chart, n, p, X)
-        ks.append(sectional(chart, p, X, JX, fd_step))
+        ks.append(sectional(chart, p, X, J0 @ X, fd_step))
     ks = np.array(ks)
     return PipelineReport(worst, flat, relation, ks, float(ks.std()))

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .cone import ConeModel, algebra_action, contact_frame, quotient_chart, sigma_sample, to_real
-from .curvature import complex_to_real_endo
+from .curvature import KaehlerModel, complex_to_real_endo
 from .fdgeom import second_fundamental_form
 from .hermitian import HermitianSpace, SuElement, su_element
 
@@ -141,31 +141,25 @@ def verify_tower_geodesic(model: ConeModel, lambda0: float, samples: int = 3,
 # -- symplectic side -----------------------------------------------------------
 
 
-def symplectic_form_matrix(m: int) -> np.ndarray:
-    """Omega with omega(x, y) = x^T Omega y = sum du_j ^ dv_j in stacked coordinates."""
-    k = m // 2
-    O = np.zeros((m, m))
-    O[:k, k:] = np.eye(k)
-    O[k:, :k] = -np.eye(k)
-    return O
-
-
 def sp_square(x) -> np.ndarray:
-    """The rank-one squaring map of R^(2k): (x o x) z = 2 omega(x, z) x."""
+    """The rank-one squaring map of R^(2k): (x o x) z = 2 omega(x, z) x.
+
+    In stacked coordinates omega(x, y) = x^T J0^T y = sum du_j ^ dv_j.
+    """
     x = np.asarray(x, dtype=float)
-    O = symplectic_form_matrix(x.size)
-    return 2.0 * np.outer(x, O.T @ x)
+    J0 = KaehlerModel(x.size // 2).J
+    return 2.0 * np.outer(x, J0 @ x)
 
 
 def is_sp(M, tol: float = 1e-10) -> bool:
     M = np.asarray(M, dtype=float)
-    O = symplectic_form_matrix(M.shape[0])
+    O = KaehlerModel(M.shape[0] // 2).J.T
     return np.linalg.norm(M.T @ O + O @ M) <= tol * max(1.0, np.linalg.norm(M))
 
 
 def random_sp(rng: np.random.Generator, m: int, scale: float = 0.6) -> np.ndarray:
     """exp of a random sp(k, R) element (sp = Omega * symmetric)."""
-    O = symplectic_form_matrix(m)
+    O = KaehlerModel(m // 2).J.T
     H = rng.standard_normal((m, m))
     H = 0.5 * (H + H.T)
     X = O @ H

@@ -1,17 +1,16 @@
 """Acceptance criteria, one test per criterion at its stated tolerance.
 
-Run with `pytest -s tests/test_acceptance.py` to see one pass/fail line
-per criterion.  Scales follow the stated desk sizes; every tolerance is
-pinned here, nothing is calibrated at runtime.
+Criteria 01-09 are the rows of `bkgeom.selftest.CRITERIA`, run here at
+their acceptance sizes; their seeds, sizes and thresholds live in that
+table only, nothing is calibrated at runtime.  Run with
+`pytest -s tests/test_acceptance.py` to see one pass/fail line per
+criterion, listing each channel as `observed (comparison threshold)`.
 """
 
 import subprocess
 import sys
 
-import numpy as np
-
-from bkgeom import cone, curvature, grading, hermitian, orbits, sasaki, tower
-from bkgeom.fdgeom import cone_metric_chart, riemann
+from bkgeom import selftest
 
 
 def report(number, ok, detail):
@@ -20,192 +19,26 @@ def report(number, ok, detail):
     assert ok, line
 
 
-def conjugated(A, seed):
-    sp = A.space
-    G = hermitian.group_conjugator(np.random.default_rng(seed), sp)
-    return hermitian.su_element(
-        hermitian.su_project(G @ A.matrix @ np.linalg.inv(G), sp), sp)
+def _fmt(x):
+    return f"{x:.2e}" if isinstance(x, float) else str(x)
 
 
-def test_criterion_01_orbit_classifier_soundness():
-    """200 elements per profile, n in {2,3,4}, 5 conjugations, tol 1e-8."""
-    per_profile = 200
-    conjugations = 5
-    bad = 0
-    checked = 0
-    for n in (2, 3, 4):
-        sp = hermitian.HermitianSpace(n)
-        for k in range(per_profile):
-            cases = [
-                ("diagonal-imaginary", "1", None, {}),
-                ("rank1", "2a", 1, {}),
-                ("rank1-negated", "2b", -1, {}),
-                ("jordan2", "2a" if k % 2 == 0 else "2b",
-                 1 if k % 2 == 0 else -1, {"epsilon": 1 if k % 2 == 0 else -1}),
-                ("jordan3", "3", None, {}),
-                ("split-real", "4", None, {}),
-            ]
-            for profile, tag, eps, kw in cases:
-                seed = 100000 * n + 100 * k
-                if profile == "rank1-negated":
-                    A = hermitian.random_su(seed, sp, "rank1")
-                    A = hermitian.su_element(-A.matrix, sp)
-                else:
-                    A = hermitian.random_su(seed, sp, profile, **kw)
-                ot = orbits.classify(A, tol=1e-8)
-                checked += 1
-                if (ot.tag, ot.epsilon) != (tag, eps):
-                    bad += 1
-                    continue
-                for c in range(conjugations):
-                    oc = orbits.classify(conjugated(A, seed + 7 + c), tol=1e-8)
-                    checked += 1
-                    if (oc.tag, oc.epsilon) != (tag, eps):
-                        bad += 1
-    report(1, bad == 0,
-           f"orbit classifier: {checked} classifications, {bad} misclassifications")
+def _acceptance_test(criterion):
+    def test():
+        result = selftest.run_criterion(criterion, selftest.ACCEPTANCE_SEED,
+                                        criterion.acceptance, selftest.ACCEPTANCE_FD_STEP)
+        detail = ", ".join(
+            f"{name} {_fmt(ch['observed'])} ({ch['comparison']}{_fmt(ch['threshold'])})"
+            for name, ch in result["channels"].items())
+        report(criterion.number, result["pass"], f"{criterion.name}: {detail}")
+
+    test.__name__ = f"test_criterion_{criterion.key}"
+    return test
 
 
-def test_criterion_02_charpoly_invariant():
-    worst_inv = 0.0
-    for n in (2, 3, 4):
-        sp = hermitian.HermitianSpace(n)
-        for seed in range(8):
-            A = hermitian.random_su(seed, sp, "generic")
-            ca = orbits.char_poly(A).coefficients
-            cc = orbits.char_poly(conjugated(A, seed + 500)).coefficients
-            worst_inv = max(worst_inv,
-                            float(np.abs(ca - cc).max() / max(1.0, np.abs(ca).max())))
-    worst_cp = 0.0
-    for n in (1, 2, 3):
-        sp = hermitian.HermitianSpace(n + 1)
-        pc = orbits.char_poly(grading.cp_generator(sp))
-        target = np.poly(np.concatenate([
-            np.full(n + 1, -1j / (2 * (n + 2))), [1j * (n + 1) / (2 * (n + 2))]]))
-        worst_cp = max(worst_cp, float(np.abs(pc.coefficients - target).max()))
-    ok = worst_inv <= 1e-9 and worst_cp <= 1e-12
-    report(2, ok, f"charpoly: conjugation {worst_inv:.2e} (<=1e-9), "
-                  f"projective closed form {worst_cp:.2e} (<=1e-12)")
-
-
-def test_criterion_03_curvature_template():
-    rng = np.random.default_rng(42)
-    worst_sym = worst_fit = worst_resid = 0.0
-    ranks_ok = True
-    count = 0
-    for n, reps in ((1, 34), (2, 33), (3, 33)):
-        km = curvature.KaehlerModel(n)
-        basis = curvature.unitary_algebra_basis(n)
-        for _ in range(reps):
-            rho = sum(rng.standard_normal() * b for b in basis)
-            R = curvature.curvature_from_rho(rho, km)
-            worst_sym = max(worst_sym, max(R.symmetry_residuals(km).values()))
-            fit, resid = curvature.fit_rho(R, km)
-            worst_fit = max(worst_fit, float(np.abs(fit - rho).max()))
-            worst_resid = max(worst_resid, resid)
-            count += 1
-        rank, expect = curvature.rho_map_rank(km)
-        ranks_ok = ranks_ok and rank == expect
-    ok = worst_sym <= 1e-10 and worst_fit <= 1e-9 and ranks_ok
-    report(3, ok, f"curvature template on {count} rho: symmetries {worst_sym:.2e} "
-                  f"(<=1e-10), fit {worst_fit:.2e} (<=1e-9), rank deficiency 0: {ranks_ok}")
-
-
-def test_criterion_04_direction_flat_lemma():
-    rng = np.random.default_rng(7)
-    worst_kernel = 0
-    for n in (1, 2, 3):
-        km = curvature.KaehlerModel(n)
-        for _ in range(20):
-            X0 = rng.standard_normal(2 * n)
-            rep = curvature.direction_flat_check(np.zeros((2 * n, 2 * n)), X0, km)
-            worst_kernel = max(worst_kernel, rep.kernel_dimension)
-    report(4, worst_kernel == 0,
-           f"direction-flat: max kernel dimension {worst_kernel} over 20 "
-           f"directions at n in {{1,2,3}} (rank full at 1e-8)")
-
-
-def test_criterion_05_cone_flatness():
-    flat = 0.0
-    for n in (1, 2):
-        chart = cone_metric_chart(sasaki.sphere_chart(2 * n + 1, 1.0))
-        x = np.concatenate([[0.2, -0.1, 0.3, 0.1, -0.2][:2 * n + 1], [1.1]])
-        flat = max(flat, float(np.abs(riemann(chart, x, 1e-4)).max()))
-    neg_chart = cone_metric_chart(sasaki.ellipsoid_chart(np.array([1.0, 1.3, 1.6, 0.8])))
-    neg = float(np.abs(riemann(neg_chart, np.array([0.2, -0.1, 0.3, 1.1]), 1e-4)).max())
-    rel = sasaki.cone_relation_residual(sasaki.sphere_chart(3, 2.0),
-                                        np.array([0.2, -0.1, 0.3]), 1e-4)
-    ok = flat <= 1e-3 and neg >= 0.1 and rel <= 1e-3
-    report(5, ok, f"cone over round S^(2n+1): flatness {flat:.2e} (<=1e-3), "
-                  f"ellipsoid control {neg:.2f} (>=0.1), relation {rel:.2e} (<=1e-3)")
-
-
-def test_criterion_06_sasaki_identity():
-    p = np.array([0.2, -0.1, 0.3])
-    good = sasaki.sasaki_residual(sasaki.hopf_sphere(3, 1.0), p, 1e-4)
-    bad = sasaki.sasaki_residual(sasaki.hopf_sphere(3, 2.0), p, 1e-4)
-    ok = (good.identity_residual <= 1e-3 and good.killing_residual <= 1e-3
-          and bad.identity_residual > 1e-3)
-    report(6, ok, f"Sasaki identity on the circle-action 3-sphere: identity "
-                  f"{good.identity_residual:.2e}, Killing {good.killing_residual:.2e} "
-                  f"(<=1e-3); radius-2 control {bad.identity_residual:.2e} (>1e-3)")
-
-
-def test_criterion_07_quotient_curvature_proposition():
-    models = [cone.cp_cone_model(2),
-              cone.random_type1_cone_model(2, 11),
-              cone.random_type1_cone_model(3, 12)]
-    worst = 0.0
-    worst_ratio = np.inf
-    for i, model in enumerate(models):
-        rep = cone.verify_curvature_prop(model, 10, 1e-4, seed=20 + i)
-        worst = max(worst, rep.max_residual)
-        worst_ratio = min(worst_ratio, rep.min_control_ratio)
-    ok = worst <= 1e-3 and worst_ratio >= 10.0
-    report(7, ok, f"quotient curvature proposition on 3 models x 10 points: "
-                  f"max residual {worst:.2e} (<=1e-3), control ratio "
-                  f"{worst_ratio:.1f}x (>=10x)")
-
-
-def test_criterion_08_tower():
-    n = 2
-    cases = [(cone.cp_cone_model(n), -1.0 / (2 * (n + 2)))]
-    rng = np.random.default_rng(3)
-    for k in range(3):
-        cases.append((cone.random_type1_cone_model(2 + k % 2, 30 + k),
-                      float(rng.uniform(-0.5, 0.5))))
-    worst_ii = 0.0
-    worst_ctrl = np.inf
-    for i, (model, lam0) in enumerate(cases):
-        rep = tower.verify_tower_geodesic(model, lam0, samples=3, seed=40 + i)
-        worst_ii = max(worst_ii, rep.max_ii)
-        worst_ctrl = min(worst_ctrl, rep.min_control)
-    A = hermitian.random_su(0, hermitian.HermitianSpace(2), "generic")
-    D0 = tower.embed_generator(A, 0.0).matrix
-    D1 = tower.embed_generator(A, 1.0).matrix
-    affinity = max(float(np.abs((1 - t) * D0 + t * D1
-                                - tower.embed_generator(A, t).matrix).max())
-                   for t in (0.25, 0.5, 0.75))
-    ok = worst_ii <= 1e-3 and affinity <= 1e-14 and worst_ctrl >= 0.05
-    report(8, ok, f"tower embeddings: max ||II|| {worst_ii:.2e} (<=1e-3) over "
-                  f"4 cases, control {worst_ctrl:.2f}, lambda0-affinity "
-                  f"{affinity:.2e} (<=1e-14)")
-
-
-def test_criterion_09_duality_flows():
-    rng = np.random.default_rng(5)
-    worst_flow = worst_sq = 0.0
-    for k in range(20):
-        m = 2 + k % 3
-        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        a = 0.5 * (a - a.conj().T)
-        rep = tower.duality_action_check(a, samples=3, seed=k, timesteps=64)
-        worst_flow = max(worst_flow, rep.twisted_residual)
-        worst_sq = max(worst_sq, rep.sq_equivariance)
-    ok = worst_flow <= 1e-6 and worst_sq <= 1e-10
-    report(9, ok, f"duality flows over 20 seeded elements: trajectory "
-                  f"{worst_flow:.2e} (<=1e-6), squaring equivariance "
-                  f"{worst_sq:.2e} (<=1e-10)")
+# one named test per row, so each criterion keeps its own test id
+for _criterion in selftest.CRITERIA:
+    globals()[f"test_criterion_{_criterion.key}"] = _acceptance_test(_criterion)
 
 
 def test_criterion_10_selftest_determinism(tmp_path):

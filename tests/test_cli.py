@@ -77,6 +77,21 @@ class TestClassifyCommand:
         assert r.returncode == 4
         assert json.loads(r.stderr)["kind"] == "ill-conditioned"
 
+    @pytest.mark.parametrize("command", ["classify", "grade", "charpoly"])
+    def test_non_finite_matrix_exit_code(self, command, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"n": 1, "matrix": [[[float("nan"), 0], [0, 0]],
+                                                       [[0, 0], [0, 0]]]}))
+        r = run_cli(command, "-m", str(path))
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert json.loads(r.stderr)["kind"] == "bad-json"
+
+    def test_ignored_option_is_usage_error(self, cp_matrix):
+        r = run_cli("classify", "-m", cp_matrix, "--n", "3")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --n 3" in r.stderr
+
     def test_byte_identical_reports(self, cp_matrix):
         r1 = run_cli("classify", "-m", cp_matrix)
         r2 = run_cli("classify", "-m", cp_matrix)
@@ -89,6 +104,15 @@ class TestOtherCommands:
         sf = doc["structure_functions"]
         assert sf["f"] == pytest.approx(1.0)
         assert sf["scale"] == pytest.approx(-4.0)
+
+    def test_grade_reports_vanishing_extreme_part(self, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text(jsonio.dumps(jsonio.matrix_to_json(np.diag([0.4j, -0.2j, -0.2j]))))
+        r = run_cli("grade", "-m", str(path))
+        assert r.returncode == 0
+        doc = json.loads(r.stdout)
+        assert doc["structure_functions"] is None
+        assert doc["rejection"] == "g^-2 component vanishes; cannot normalize"
 
     def test_charpoly(self, cp_matrix):
         doc = json.loads(run_cli("charpoly", "-m", cp_matrix).stdout)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bkgeom.grading import (
+    NormalizationError,
     StructureFunctions,
-    StructureRejection,
     assemble,
     cp_generator,
     grade_split,
@@ -11,7 +11,7 @@ from bkgeom.grading import (
     h_action,
     structure_functions,
 )
-from bkgeom.hermitian import HermitianSpace, SuElement, check_su, random_su, su_element
+from bkgeom.hermitian import HermitianSpace, SuElement, random_su, su_element
 
 
 def bracket(a, b):
@@ -49,7 +49,7 @@ class TestGradingBasis:
         sp = HermitianSpace(3)
         gb = grading_basis(3)
         for M in (gb.e_plus2, gb.e_minus2, gb.coroot):
-            assert isinstance(check_su(M, sp), SuElement)
+            assert isinstance(su_element(M, sp), SuElement)
 
 
 class TestGradeSplit:
@@ -135,9 +135,9 @@ class TestStructureFunctions:
         gb = grading_basis(2)
         # a scalar bottom 2x2 block has no component along either root vector
         B = su_element(np.diag([0.4j, -0.2j, -0.2j]), sp)
-        res = structure_functions(B, gb)
-        assert isinstance(res, StructureRejection)
-        assert not res
+        with pytest.raises(NormalizationError) as info:
+            structure_functions(B, gb)
+        assert info.value.coefficient == pytest.approx(0.0, abs=1e-15)
 
     def test_projective_generator_measured_values(self):
         # Under the e_minus2/2 normalization the algebraic extraction of the

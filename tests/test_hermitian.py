@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from bkgeom import jsonio
 from bkgeom.hermitian import (
     HermitianSpace,
     HermitianSpaceError,
+    NonFiniteError,
     SuElement,
-    SuViolation,
-    check_su,
+    SuMembershipError,
     group_conjugator,
-    herm_form,
     random_su,
     su_element,
     su_project,
@@ -29,12 +29,12 @@ class TestHermForm:
     def test_first_basis_vector_has_unit_norm(self):
         sp = HermitianSpace(2)
         e1 = basis_vector(3, 0)
-        assert herm_form(e1, e1, sp) == pytest.approx(1.0)
+        assert sp.herm(e1, e1) == pytest.approx(1.0)
 
     def test_last_basis_vector_has_negative_norm(self):
         sp = HermitianSpace(2)
         e3 = basis_vector(3, 2)
-        assert herm_form(e3, e3, sp) == pytest.approx(-1.0)
+        assert sp.herm(e3, e3) == pytest.approx(-1.0)
 
     def test_hermitian_symmetry(self):
         sp = HermitianSpace(3)
@@ -72,22 +72,33 @@ class TestHermForm:
 class TestCheckSu:
     def test_accepts_traceless_imaginary_diagonal(self):
         sp = HermitianSpace(1)
-        res = check_su(np.diag([1j, -1j]), sp)
+        res = su_element(np.diag([1j, -1j]), sp)
         assert isinstance(res, SuElement)
 
     def test_rejects_nonzero_trace_with_residual(self):
         sp = HermitianSpace(1)
-        res = check_su(np.diag([1j, 1j]), sp)
-        assert isinstance(res, SuViolation)
-        assert res.identity == "traceless"
-        assert res.residual == pytest.approx(2.0)
+        with pytest.raises(SuMembershipError) as info:
+            su_element(np.diag([1j, 1j]), sp)
+        assert info.value.identity == "traceless"
+        assert info.value.residual == pytest.approx(2.0)
+        assert info.value.scale == pytest.approx(np.sqrt(2.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        # every residual comparison with NaN is false, so only an explicit
+        # finiteness check keeps such a matrix from being certified
+        M = np.full((3, 3), value)
+        with pytest.raises(NonFiniteError):
+            su_element(M, HermitianSpace(2))
+        with pytest.raises(NonFiniteError):
+            jsonio.matrix_from_json(jsonio.matrix_to_json(M))
 
     def test_projection_oracle_certifies(self):
         sp = HermitianSpace(3)
         rng = np.random.default_rng(2)
         for _ in range(10):
             A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            res = check_su(su_project(A, sp), sp)
+            res = su_element(su_project(A, sp), sp)
             assert isinstance(res, SuElement)
 
     def test_skew_adjointness_identity(self):
@@ -185,6 +196,16 @@ class TestRandomSu:
         # lam and -conj(lam)
         assert abs(real[0] + np.conj(real[1])) < 1e-8
 
+    @pytest.mark.parametrize("seed", [54, 393])
+    def test_jammed_sampler_redraws(self, seed):
+        # the rejection sampler for 8 eigenvalues 0.25 apart jams at these seeds
+        from bkgeom.orbits import classify
+
+        sp = HermitianSpace(8)
+        A = random_su(seed, sp, "diagonal-imaginary")
+        assert isinstance(A, SuElement)
+        assert classify(A).tag == "1"
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
             random_su(0, HermitianSpace(2), "nope")
@@ -208,5 +229,5 @@ def test_eigenvalue_pairing_invariant():
 def test_su_element_scaling_stays_certified():
     sp = HermitianSpace(2)
     A = random_su(0, sp, "generic")
-    res = check_su(A.scaled(2.5).matrix, sp)
+    res = su_element(A.scaled(2.5).matrix, sp)
     assert isinstance(res, SuElement)
