@@ -5,9 +5,9 @@ verify-prop | tower | duality | selftest.  All reports are deterministic
 JSON (sorted keys, full-precision floats): identical configuration and
 seed give byte-identical output.
 
-Exit codes: 0 success, 2 validation failure, 3 malformed JSON input,
-4 ill-conditioned tolerance decision.  Failures emit a machine-readable
-error object on stderr.
+Exit codes: 0 success, 2 validation failure or usage error, 3 malformed
+JSON input, 4 ill-conditioned tolerance decision.  Failures emit a
+machine-readable error object on stderr.
 """
 
 from __future__ import annotations
@@ -210,13 +210,27 @@ def _cmd_selftest(args) -> dict:
     return run_selftest(seed=args.seed, scale=args.scale, fd_step=args.fd_step)
 
 
+def _size(text: str) -> int:
+    """A size option (--n, --samples, --scale): an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Usage errors go to stderr as the JSON error object, with exit code 2."""
+
+    def error(self, message):
+        sys.exit(_fail("usage", f"{self.prog}: {message}", EXIT_VALIDATION))
+
+
 # every option a subcommand may take; each subcommand lists the ones it reads
 _OPTIONS = {
     "matrix": (("--matrix", "-m"), dict(default=None, help="matrix JSON path ('-' for stdin)")),
-    "n": (("--n",), dict(type=int, default=2)),
+    "n": (("--n",), dict(type=_size, default=2)),
     "tol": (("--tol",), dict(type=float, default=1e-8)),
     "seed": (("--seed",), dict(type=int, default=0)),
-    "samples": (("--samples",), dict(type=int, default=4)),
+    "samples": (("--samples",), dict(type=_size, default=4)),
     "fd_step": (("--fd-step",), dict(dest="fd_step", type=float, default=1e-4)),
     "sigma_sign": (("--sigma-sign",), dict(
         dest="sigma_sign", choices=("paper", "flipped"), default="flipped",
@@ -239,7 +253,7 @@ _COMMANDS = [
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _JsonErrorParser(
         prog="bkgeom",
         description="Bochner-Kaehler geometry toolkit: orbit classification, "
                     "curvature templates and finite-difference verification.")
@@ -254,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("selftest")
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--scale", type=int, default=1)
+    sp.add_argument("--scale", type=_size, default=1)
     sp.add_argument("--fd-step", dest="fd_step", type=float, default=1e-4)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_selftest)

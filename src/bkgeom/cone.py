@@ -66,17 +66,6 @@ class ChartFailureError(RuntimeError):
     """The local quotient slice degenerated."""
 
 
-def to_real(z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag])
-
-
-def to_complex(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = v.size // 2
-    return v[:n] + 1j * v[n:]
-
-
 def flat_inner(x, y) -> float:
     """g(x, y) = Re <x, y>, the flat Kaehler metric on C^n."""
     return float(np.vdot(y, x).real)

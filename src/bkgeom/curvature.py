@@ -18,13 +18,16 @@ with (X ^ Y)Z = g(X,Z)Y - g(Y,Z)X and the circle product
 Whether the two agree exactly or up to a constant is measured by the test
 suite rather than assumed (they agree exactly; see tests).  A metric is
 Bochner-Kaehler iff its curvature lies in the image of rho |-> R_rho,
-which `fit_rho` decides by least squares.
+which `fit_rho` decides by least squares.  The circle product and both
+templates broadcast over leading axes, so one call evaluates every basis
+pair of a tensor, or every element of the u(n) basis at once.
 
 Tensors are stored dense as R[i,j,k,l] = g(R(e_i, e_j) e_k, e_l).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,24 +70,15 @@ def unitary_algebra_basis(n: int) -> list[np.ndarray]:
     S + iT skew-hermitian (S real skew, T real symmetric) acts as
     [[S, -T], [T, S]] in the stacked identification.
     """
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            S = np.zeros((n, n))
-            S[i, j], S[j, i] = 1.0, -1.0
-            M = np.zeros((2 * n, 2 * n))
-            M[:n, :n] = S
-            M[n:, n:] = S
-            out.append(M)
+    skew, sym = [], []
     for i in range(n):
         for j in range(i, n):
-            T = np.zeros((n, n))
-            T[i, j] = T[j, i] = 1.0
-            M = np.zeros((2 * n, 2 * n))
-            M[:n, n:] = -T
-            M[n:, :n] = T
-            out.append(M)
-    return out
+            E = np.zeros((n, n))
+            E[i, j] = 1.0
+            if i < j:
+                skew.append(complex_to_real_endo(E - E.T))
+            sym.append(complex_to_real_endo(1j * np.maximum(E, E.T)))
+    return skew + sym
 
 
 def complex_to_real_endo(C) -> np.ndarray:
@@ -94,19 +88,32 @@ def complex_to_real_endo(C) -> np.ndarray:
     return np.block([[A, -B], [B, A]])
 
 
+def to_real(z) -> np.ndarray:
+    """Complex vector in C^n to R^(2n): real parts stacked over imaginary parts."""
+    z = np.asarray(z, dtype=complex)
+    return np.concatenate([z.real, z.imag])
+
+
+def _outer(a, b) -> np.ndarray:
+    """a b^T over the leading axes of a and b."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _dot(a, b) -> np.ndarray:
+    """a . b over the leading axes, shaped to scale a stack of matrices."""
+    return np.sum(a * b, axis=-1)[..., None, None]
+
+
 def circle(X, Y, model: KaehlerModel) -> np.ndarray:
     """The u(n)-valued circle product as an endomorphism of R^(2n)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     J = model.J
-    JX, JY = J @ X, J @ Y
-    # omega(A, Z) = (J^T A) . Z appears as a row covector
-    def co(A):
-        return J.T @ A
-    M = (np.outer(Y, co(X)) + np.outer(X, co(Y))
-         + np.outer(JY, co(JX)) + np.outer(JX, co(JY))
-         + model.omega(JX, Y) * J)
-    return M
+    JX, JY = X @ J.T, Y @ J.T
+    # omega(A, Z) = (J^T A) . Z appears as the row covector A J
+    return (_outer(Y, X @ J) + _outer(X, Y @ J)
+            + _outer(JY, JX @ J) + _outer(JX, JY @ J)
+            + _dot(JX, JY) * J)
 
 
 @dataclass(frozen=True)
@@ -119,11 +126,6 @@ class CurvatureTensor:
     @property
     def dim(self) -> int:
         return 2 * self.n
-
-    def endo(self, X, Y) -> np.ndarray:
-        """R(X, Y) as an endomorphism (returns the matrix acting on Z)."""
-        m = np.einsum("ijkl,i,j->kl", self.entries, X, Y)
-        return m.T  # entries are g(R(X,Y)e_k, e_l); action matrix is transpose
 
     def sectional(self, X, Y) -> float:
         X = np.asarray(X, dtype=float)
@@ -151,16 +153,20 @@ class CurvatureTensor:
         }
 
 
-def _tensor_from_pair_endos(model: KaehlerModel, endo_of_pair) -> CurvatureTensor:
+def _tensor_from_pair_endos(model: KaehlerModel, endo_of_pairs) -> np.ndarray:
+    """Entries R[..., i, j, k, l] from one call of endo_of_pairs on all e_i, e_j with i < j.
+
+    R[j, i] = -R[i, j] and R[i, i] = 0 are filled in, not evaluated, so they
+    hold exactly even for an input that is skew only within tolerance.
+    """
     d = model.dim
-    R = np.zeros((d, d, d, d))
+    i, j = np.triu_indices(d, 1)
     eye = np.eye(d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            E = endo_of_pair(eye[i], eye[j])
-            R[i, j] = E.T  # [k,l] = g(E e_k, e_l) = E[l,k]
-            R[j, i] = -E.T
-    return CurvatureTensor(model.n, R)
+    E = np.swapaxes(endo_of_pairs(eye[i], eye[j]), -1, -2)  # [k,l] = g(E e_k, e_l) = E[l,k]
+    R = np.zeros(E.shape[:-3] + (d, d, d, d))
+    R[..., i, j, :, :] = E
+    R[..., j, i, :, :] = -E
+    return R
 
 
 def curvature_from_h(h, model: KaehlerModel, tol: float = 1e-10) -> CurvatureTensor:
@@ -170,10 +176,10 @@ def curvature_from_h(h, model: KaehlerModel, tol: float = 1e-10) -> CurvatureTen
         raise ValueError("h is not in u(n)")
 
     def endo(X, Y):
-        return (2.0 * model.omega(X, Y) * h
-                + circle(X, h @ Y, model) - circle(Y, h @ X, model))
+        return (2.0 * _dot(X, Y @ model.J.T) * h
+                + circle(X, Y @ h.T, model) - circle(Y, X @ h.T, model))
 
-    return _tensor_from_pair_endos(model, endo)
+    return CurvatureTensor(model.n, _tensor_from_pair_endos(model, endo))
 
 
 def rho_template_endo(rho, X, Y, model: KaehlerModel) -> np.ndarray:
@@ -184,13 +190,13 @@ def rho_template_endo(rho, X, Y, model: KaehlerModel) -> np.ndarray:
     J = model.J
 
     def wedge(a, b):
-        return np.outer(b, a) - np.outer(a, b)
+        return _outer(b, a) - _outer(a, b)
 
-    JX, JY = J @ X, J @ Y
-    rX, rY = rho @ X, rho @ Y
-    return (2.0 * float(X @ JY) * rho + 2.0 * float(X @ rY) * J
+    JX, JY = X @ J.T, Y @ J.T
+    rX, rY = (np.einsum("...kl,...l->...k", rho, V) for V in (X, Y))
+    return (2.0 * _dot(X, JY) * rho + 2.0 * _dot(X, rY) * J
             + wedge(rY, JX) - wedge(rX, JY)
-            + wedge(X, J @ rY) - wedge(Y, J @ rX))
+            + wedge(X, rY @ J.T) - wedge(Y, rX @ J.T))
 
 
 def curvature_from_rho(rho, model: KaehlerModel, tol: float = 1e-10) -> CurvatureTensor:
@@ -198,13 +204,25 @@ def curvature_from_rho(rho, model: KaehlerModel, tol: float = 1e-10) -> Curvatur
     rho = np.asarray(rho, dtype=float)
     if not is_unitary_algebra(rho, model, tol):
         raise ValueError("rho is not in u(n)")
-    return _tensor_from_pair_endos(model, lambda X, Y: rho_template_endo(rho, X, Y, model))
+    return CurvatureTensor(model.n, _tensor_from_pair_endos(
+        model, lambda X, Y: rho_template_endo(rho, X, Y, model)))
 
 
-def _design_matrix(model: KaehlerModel) -> tuple[np.ndarray, list[np.ndarray]]:
-    basis = unitary_algebra_basis(model.n)
-    cols = [curvature_from_rho(b, model).entries.ravel() for b in basis]
-    return np.array(cols).T, basis
+@functools.lru_cache(maxsize=None)   # an entry holds 128 n^6 bytes: 0.5 MB at n = 4
+def _rho_design(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The u(n) basis (n^2, 2n, 2n) and the (2n)^4 x n^2 design matrix of rho |-> R_rho.
+
+    Column a is R_rho for rho = basis[a], flattened.  Both are read-only:
+    every caller shares them.
+    """
+    model = KaehlerModel(n)
+    basis = np.array(unitary_algebra_basis(n))
+    design = _tensor_from_pair_endos(
+        model, lambda X, Y: rho_template_endo(basis[:, None], X, Y, model)
+    ).reshape(len(basis), -1).T
+    for shared in (basis, design):
+        shared.setflags(write=False)
+    return basis, design
 
 
 def fit_rho(R: CurvatureTensor, model: KaehlerModel | None = None):
@@ -215,18 +233,18 @@ def fit_rho(R: CurvatureTensor, model: KaehlerModel | None = None):
     is injective; see `rho_map_rank`), so the minimizer is unique.
     """
     model = model or KaehlerModel(R.n)
-    A, basis = _design_matrix(model)
+    basis, A = _rho_design(model.n)
     coef, _, rank, _ = np.linalg.lstsq(A, R.entries.ravel(), rcond=None)
     if rank < len(basis):
         raise np.linalg.LinAlgError("curvature template family is rank-deficient")
-    rho = sum(c * b for c, b in zip(coef, basis))
+    rho = np.tensordot(coef, basis, axes=1)
     resid = float(np.linalg.norm(A @ coef - R.entries.ravel()))
     return rho, resid
 
 
 def rho_map_rank(model: KaehlerModel, rtol: float = 1e-8) -> tuple[int, int]:
     """(numerical rank, expected rank n^2) of the linear map rho -> R_rho."""
-    A, basis = _design_matrix(model)
+    basis, A = _rho_design(model.n)
     s = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(s > rtol * s[0]))
     return rank, len(basis)
@@ -257,10 +275,11 @@ def direction_flat_check(rho, X0, model: KaehlerModel,
         raise ValueError("rho is not in u(n)")
     X0 = np.asarray(X0, dtype=float)
     X0 = X0 / np.linalg.norm(X0)
-    E = rho_template_endo(rho, X0, model.J @ X0, model)
-    basis = unitary_algebra_basis(model.n)
-    cols = np.array([
-        rho_template_endo(b, X0, model.J @ X0, model).ravel() for b in basis]).T
+    JX0 = model.J @ X0
+    E = rho_template_endo(rho, X0, JX0, model)
+    basis, A = _rho_design(model.n)
+    # column a is R_(basis[a])(X0, JX0), read off the design matrix
+    cols = np.einsum("ijka,i,j->ka", A.reshape(X0.size, X0.size, -1, len(basis)), X0, JX0)
     s = np.linalg.svd(cols, compute_uv=False)
     kernel_dim = len(basis) - int(np.sum(s > 1e-8 * s[0]))
     dn = float(np.linalg.norm(E))

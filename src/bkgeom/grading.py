@@ -105,21 +105,15 @@ class GradingBasis:
         return out
 
     def embed_g1(self, u) -> np.ndarray:
-        return self._embed_odd(u, +1)
-
-    def embed_gminus1(self, u) -> np.ndarray:
-        return self._embed_odd(u, -1)
-
-    def _embed_odd(self, u, sign: int) -> np.ndarray:
         u = np.asarray(u, dtype=complex).reshape(-1)
         m = self.n - 1
         if u.shape != (m,):
             raise ValueError("vector must have length n-1")
         out = np.zeros((self.n + 1, self.n + 1), dtype=complex)
         out[:m, m] = u
-        out[:m, m + 1] = sign * u
+        out[:m, m + 1] = u
         out[m, :m] = -u.conj()
-        out[m + 1, :m] = sign * u.conj()
+        out[m + 1, :m] = u.conj()
         return out
 
     def extract_g1_vector(self, A) -> np.ndarray:

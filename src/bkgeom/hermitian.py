@@ -50,23 +50,13 @@ class HermitianSpace:
     """C^(n+1) with a signature-(n,1) hermitian form in diagonal standard form."""
 
     n: int
-    form_matrix: np.ndarray = field(default=None)  # type: ignore[assignment]
+    form_matrix: np.ndarray = field(init=False, compare=False)  # diag(1, ..., 1, -1)
 
     def __post_init__(self):
         if self.n < 1:
             raise HermitianSpaceError("need n >= 1")
-        if self.form_matrix is None:
-            H = np.eye(self.n + 1, dtype=complex)
-            H[self.n, self.n] = -1.0
-            object.__setattr__(self, "form_matrix", H)
-        H = np.asarray(self.form_matrix, dtype=complex)
-        if H.shape != (self.n + 1, self.n + 1):
-            raise HermitianSpaceError("form matrix has wrong shape")
-        if np.linalg.norm(H - H.conj().T) > 1e-12 * max(1.0, np.linalg.norm(H)):
-            raise HermitianSpaceError("form matrix is not hermitian")
-        eig = np.linalg.eigvalsh(H)
-        if np.sum(eig > 0) != self.n or np.sum(eig < 0) != 1:
-            raise HermitianSpaceError("form matrix does not have signature (n, 1)")
+        H = np.eye(self.n + 1, dtype=complex)
+        H[self.n, self.n] = -1.0
         object.__setattr__(self, "form_matrix", H)
 
     @property
@@ -110,10 +100,6 @@ class HermitianSpace:
     def omega(self, x, y) -> float:
         """Imaginary part of h: the symplectic form, omega(x,y) = g(x, Jy)."""
         return self.herm(x, y).imag
-
-    def is_null(self, x, tol: float = DEFAULT_TOL) -> bool:
-        x = np.asarray(x, dtype=complex)
-        return abs(self.g(x, x)) <= tol * max(1.0, float(np.vdot(x, x).real))
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,6 @@ class EigenStructure:
     clusters: tuple[EigenCluster, ...]
     cluster_tol: float
 
-    @property
-    def max_block(self) -> int:
-        return max(max(c.block_sizes) for c in self.clusters)
-
 
 @dataclass(frozen=True)
 class OrbitType:

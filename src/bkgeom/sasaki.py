@@ -202,13 +202,12 @@ def transversal_J(data: SasakiData, p, step: float = 1e-4):
     nabJ = 0.0
     for a in range(D.shape[1]):
         X = D[:, a]
+        # nabla_X (J Y) for the coordinate-constant extension of Y; J at
+        # p +- step X depends on X only, so it is evaluated once per X
+        J_plus, J_minus = J_at(p + step * X), J_at(p - step * X)
         for b in range(D.shape[1]):
             Y = D[:, b]
-            # nabla_X (J Y) for the coordinate-constant extension of Y
-            h = step * X
-            W_plus = J_at(p + h) @ Y
-            W_minus = J_at(p - h) @ Y
-            dW = (W_plus - W_minus) / (2.0 * step)
+            dW = (J_plus @ Y - J_minus @ Y) / (2.0 * step)
             nab_X_JY = dW + np.einsum("kim,i,m->k", Gam, X, J @ Y)
             nab_X_Y = np.einsum("kim,i,m->k", Gam, X, Y)
             diff = nab_X_JY - J @ nab_X_Y

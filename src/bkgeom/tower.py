@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cone import ConeModel, algebra_action, contact_frame, quotient_chart, sigma_sample, to_real
-from .curvature import KaehlerModel, complex_to_real_endo
+from .cone import ConeModel, algebra_action, contact_frame, quotient_chart, sigma_sample
+from .curvature import KaehlerModel, complex_to_real_endo, to_real
 from .fdgeom import second_fundamental_form
 from .hermitian import HermitianSpace, SuElement, su_element
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bkgeom import jsonio
+from bkgeom.cli import main
 from bkgeom.grading import cp_generator
 from bkgeom.hermitian import HermitianSpace, random_su, su_element, su_project
 
@@ -90,7 +91,23 @@ class TestClassifyCommand:
     def test_ignored_option_is_usage_error(self, cp_matrix):
         r = run_cli("classify", "-m", cp_matrix, "--n", "3")
         assert r.returncode == 2
-        assert "unrecognized arguments: --n 3" in r.stderr
+        err = json.loads(r.stderr)
+        assert err["kind"] == "usage"
+        assert "unrecognized arguments: --n 3" in err["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("selftest", "--scale", "0"), ("selftest", "--scale", "-1"),
+        ("curvature", "--n", "0"), ("duality", "--n", "0"), ("verify-cpn", "--n", "0"),
+        ("verify-prop", "--samples", "0"), ("tower", "--samples", "0")])
+    def test_size_below_one_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = json.loads(err)
+        assert err["kind"] == "usage"
+        assert f"argument {argv[1]}: must be an integer of at least 1" in err["error"]
 
     def test_byte_identical_reports(self, cp_matrix):
         r1 = run_cli("classify", "-m", cp_matrix)

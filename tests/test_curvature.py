@@ -84,13 +84,24 @@ class TestTemplates:
     def test_two_templates_agree_exactly(self):
         # whether R_h and R_rho differ by a constant is measured, not
         # assumed: the measured constant is 1 (they coincide)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             km = KaehlerModel(n)
             rng = np.random.default_rng(10 + n)
             h = random_un(rng, n)
             d = np.abs(curvature_from_h(h, km).entries
                        - curvature_from_rho(h, km).entries).max()
             assert d < 1e-12 * max(1.0, np.abs(h).max())
+
+    def test_near_skew_rho_keeps_exact_antisymmetry(self):
+        # rho in u(n) only within tolerance: R[j, i] is filled from R[i, j],
+        # so the first-pair antisymmetry stays exact
+        km = KaehlerModel(3)
+        rng = np.random.default_rng(5)
+        rho = random_un(rng, 3) + 1e-12 * rng.standard_normal((6, 6))
+        R = curvature_from_rho(rho, km).entries
+        assert np.array_equal(R, -np.swapaxes(R, 0, 1))
+        diag = np.arange(6)
+        assert np.all(R[diag, diag] == 0.0)
 
     def test_linearity(self):
         km = KaehlerModel(2)
