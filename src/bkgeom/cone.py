@@ -2,15 +2,17 @@
 
 The adjoint cone of a maximal root element is modeled as C^n - 0 via the
 S^1-normalized null-vector representative (x, ||x||); its projectivization
-is S^(2n-1).  A diagonal generator diag(i lam_1, ..., i lam_n, -i sigma)
-acts on the cone through the matrix
+is S^(2n-1).  An element a of u(n) acts on the cone through the trace
+twist a + tr(a) I, written once, in `algebra_action`.  For the diagonal
+generator diag(i lam_1, ..., i lam_n, -i sigma) that is the action matrix
 
     act = diag(i (lam_j + sigma)),    sigma = sum lam_j,
 
-and cuts out the section
+and it cuts out the section
 
-    Sigma = { x : sum_j (lam_j + sigma) |x_j|^2 = s },   s = +-1.
+    Sigma = { x : sum_j (lam_j + sigma) |x_j|^2 = s },   s = +-1,
 
+whose left side is lambda(act x), the contact form on xi0 = act x.
 Both quadric levels s = +1 and s = -1 are supported via `sigma_sign`;
 the equal-coefficient projective-space models only have solutions on the
 s = -1 branch, and the test suite records that this is the branch
@@ -22,6 +24,11 @@ eta-correction vanishes on the projective-space model:
     g_D(X, Y)  = (X, Y) - (X,p)(Y,p)/|p|^2
     eta        = act Jp - |act p|^2 p
     rho(X)     = act X + (X, xi0) eta + (X, act^2 Jp) p,   xi0 = act p
+
+Each pointwise formula is one matrix expression on a column block: X and
+Y may be single vectors of shape (n,) or blocks of shape (n, k), and a
+pairing of blocks is the (k, m) matrix of pairings of their columns, so a
+frame Gram matrix or the frame matrix of an endomorphism is one call.
 
 Quotient charts: the local slice through p is the affine span of a contact
 frame, renormalized radially onto Sigma; slice tangents are projected onto
@@ -39,7 +46,7 @@ Real coordinates stack Re over Im, matching the curvature module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,9 +73,27 @@ class ChartFailureError(RuntimeError):
     """The local quotient slice degenerated."""
 
 
-def flat_inner(x, y) -> float:
-    """g(x, y) = Re <x, y>, the flat Kaehler metric on C^n."""
-    return float(np.vdot(y, x).real)
+def flat_inner(X, Y):
+    """g(X, Y) = Re <X, Y>, the flat Kaehler metric on C^n, column by column.
+
+    Vectors give a float; an (n, k) block against a vector gives shape (k,),
+    and two blocks give the (k, m) matrix of pairings of their columns.
+    Summed as the real inner product of the stacked real coordinates, so
+    flat_inner(X, X) is exactly symmetric.
+    """
+    X, Y = np.asarray(X), np.asarray(Y)
+    return X.real.T @ Y.real + X.imag.T @ Y.imag
+
+
+def algebra_action(a, X) -> np.ndarray:
+    """u(n) action on cone tangents, column by column: a . X = (tr(a) I + a) X.
+
+    This is the trace twist of the cone action; on the identity block it
+    returns the twisted action matrix a + tr(a) I itself.
+    """
+    a = np.asarray(a, dtype=complex)
+    X = np.asarray(X, dtype=complex)
+    return np.trace(a) * X + a @ X
 
 
 @dataclass(frozen=True)
@@ -77,12 +102,14 @@ class ConeModel:
 
     lambdas: np.ndarray
     sigma_sign: int = 1          # +1: quadric = +1 (as displayed); -1: flipped
+    action: np.ndarray = field(init=False, compare=False)  # diag(i alpha), the twisted generator
 
     def __post_init__(self):
         lam = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
         object.__setattr__(self, "lambdas", lam)
         if self.sigma_sign not in (1, -1):
             raise ValueError("sigma_sign must be +-1")
+        object.__setattr__(self, "action", algebra_action(np.diag(1j * lam), np.eye(lam.size)))
 
     @property
     def n(self) -> int:
@@ -120,17 +147,8 @@ class ConeModel:
         diag = np.concatenate([1j * self.lambdas, [-1j * self.sigma]])
         return su_element(np.diag(diag), space)
 
-    def act(self, x) -> np.ndarray:
-        return 1j * self.action_coefficients * np.asarray(x, dtype=complex)
-
-    def act2(self, x) -> np.ndarray:
-        return -(self.action_coefficients ** 2) * np.asarray(x, dtype=complex)
-
-    def act_norm2(self, x) -> float:
-        return float(np.sum(self.action_coefficients ** 2 * np.abs(x) ** 2))
-
-    def quadric(self, x) -> float:
-        return float(np.sum(self.action_coefficients * np.abs(np.asarray(x)) ** 2))
+    def act(self, X) -> np.ndarray:
+        return self.action @ np.asarray(X, dtype=complex)
 
 
 def cp_cone_model(n: int) -> ConeModel:
@@ -189,15 +207,8 @@ def group_action(G, x, tol: float = 1e-9) -> np.ndarray:
     return np.linalg.det(G) * (G @ np.asarray(x, dtype=complex))
 
 
-def algebra_action(a, x) -> np.ndarray:
-    """u(n) action on the cone tangent: a . x = (tr(a) I + a) x."""
-    a = np.asarray(a, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    return np.trace(a) * x + a @ x
-
-
-def contact_form(X, p) -> float:
-    """lambda(X) at p: g(X, Jp); equals the quadric value on xi0."""
+def contact_form(X, p):
+    """lambda(X) at p: g(X, Jp), column by column; equals the quadric value on xi0."""
     return flat_inner(np.asarray(X, dtype=complex), 1j * np.asarray(p, dtype=complex))
 
 
@@ -206,7 +217,7 @@ def contact_form(X, p) -> float:
 
 def sigma_membership(p, model: ConeModel) -> float:
     """Signed residual of the section equation at p."""
-    return model.quadric(p) - model.target
+    return float(contact_form(model.act(p), p)) - model.target
 
 
 def sigma_sample(model: ConeModel, seed: int, count: int = 1) -> list[np.ndarray]:
@@ -224,7 +235,7 @@ def sigma_sample(model: ConeModel, seed: int, count: int = 1) -> list[np.ndarray
         if guard > 100000:
             raise EmptySectionError("rejection sampling failed to hit the quadric")
         v = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
-        q = model.quadric(v)
+        q = contact_form(model.act(v), v)
         if q * model.target <= 1e-9:
             continue
         out.append(v * np.sqrt(model.target / q))
@@ -234,29 +245,30 @@ def sigma_sample(model: ConeModel, seed: int, count: int = 1) -> list[np.ndarray
 # -- pointwise geometry on Sigma -------------------------------------------------
 
 
+def _along(v, c):
+    """v c: the vector v scaled by each coefficient in c (one column per entry)."""
+    return np.multiply.outer(v, c)
+
+
 def j_m(p, X, model: ConeModel) -> np.ndarray:
     """The lifted complex structure on the contact distribution of Sigma."""
     model = model.coherent()
     p = np.asarray(p, dtype=complex)
     X = np.asarray(X, dtype=complex)
-    ap = model.act(p)
-    p2 = float(np.vdot(p, p).real)
-    return 1j * X - flat_inner(X, ap) * p - (flat_inner(X, p) / p2) * (1j * p)
+    return (1j * X - _along(p, flat_inner(X, model.act(p)))
+            - _along(1j * p, flat_inner(X, p) / flat_inner(p, p)))
 
 
-def induced_metric(p, X, Y, model: ConeModel) -> float:
+def induced_metric(p, X, Y, model: ConeModel):
     """Degenerate metric on Sigma; positive definite on the contact distribution."""
-    p = np.asarray(p, dtype=complex)
-    X = np.asarray(X, dtype=complex)
-    Y = np.asarray(Y, dtype=complex)
-    p2 = float(np.vdot(p, p).real)
-    return flat_inner(X, Y) - flat_inner(X, p) * flat_inner(Y, p) / p2
+    return flat_inner(X, Y) - _along(flat_inner(X, p), flat_inner(Y, p)) / flat_inner(p, p)
 
 
 def eta_vector(p, model: ConeModel) -> np.ndarray:
     model = model.coherent()
     p = np.asarray(p, dtype=complex)
-    return model.act(1j * p) - model.act_norm2(p) * p
+    xi0 = model.act(p)
+    return model.act(1j * p) - flat_inner(xi0, xi0) * p
 
 
 def rho_map(p, X, model: ConeModel) -> np.ndarray:
@@ -265,9 +277,8 @@ def rho_map(p, X, model: ConeModel) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
     X = np.asarray(X, dtype=complex)
     xi0 = model.act(p)
-    eta = eta_vector(p, model)
-    return (model.act(X) + flat_inner(X, xi0) * eta
-            + flat_inner(X, model.act2(1j * p)) * p)
+    return (model.act(X) + _along(eta_vector(p, model), flat_inner(X, xi0))
+            + _along(p, flat_inner(X, model.act(model.act(1j * p)))))
 
 
 @dataclass(frozen=True)
@@ -289,45 +300,24 @@ class DistributionFrame:
         return self.vectors.shape[1]
 
     def metric_gram(self) -> np.ndarray:
-        k = self.count
-        G = np.empty((k, k))
-        for a in range(k):
-            for b in range(k):
-                G[a, b] = induced_metric(self.point, self.vectors[:, a],
-                                         self.vectors[:, b], self.model)
-        return G
+        return induced_metric(self.point, self.vectors, self.vectors, self.model)
 
     def matrix_of(self, endo) -> np.ndarray:
-        """Frame matrix of a D -> D map given as a callable on complex vectors."""
-        k = self.count
-        M = np.empty((k, k))
-        for b in range(k):
-            w = endo(self.vectors[:, b])
-            for a in range(k):
-                M[a, b] = induced_metric(self.point, w, self.vectors[:, a], self.model)
-        return M
+        """Frame matrix of a D -> D map given as a callable on (n, k) column blocks."""
+        return induced_metric(self.point, self.vectors, endo(self.vectors), self.model)
 
 
-def _distribution_projector(p, model: ConeModel):
-    """Flat-orthonormalized normals of the two contact constraints at p."""
-    normals = [1j * np.asarray(p, dtype=complex), 1j * model.act(p)]
-    ortho = []
-    for m in normals:
-        w = m.copy()
-        for o in ortho:
-            w = w - flat_inner(w, o) * o
-        nw = np.sqrt(flat_inner(w, w))
-        if nw < 1e-12:
-            raise TangencyError("contact constraints are degenerate at p")
-        ortho.append(w / nw)
+def _distribution_normals(p, model: ConeModel) -> np.ndarray:
+    """Flat-orthonormal (n, 2) block spanning the normals Jp, J act p of the contact constraints.
 
-    def project(X):
-        X = np.asarray(X, dtype=complex)
-        for o in ortho:
-            X = X - flat_inner(X, o) * o
-        return X
-
-    return project
+    One Gram-Schmidt step: a coordinate on which p vanishes stays exactly 0.
+    """
+    u, v = 1j * p, 1j * model.act(p)
+    N = np.column_stack([u, v - (flat_inner(v, u) / flat_inner(u, u)) * u])
+    lengths = np.sqrt(np.diag(flat_inner(N, N)))
+    if lengths.min() < 1e-12:
+        raise TangencyError("contact constraints are degenerate at p")
+    return N / lengths
 
 
 def contact_frame(p, model: ConeModel, preset=None,
@@ -348,7 +338,10 @@ def contact_frame(p, model: ConeModel, preset=None,
     lam_xi = contact_form(model.act(p), p)
     if abs(lam_xi) < TRANSVERSALITY_THRESHOLD:
         raise TangencyError(f"lambda(xi0) = {lam_xi:.3e} below threshold")
-    project = _distribution_projector(p, model)
+    normals = _distribution_normals(p, model)
+
+    def project(X):
+        return X - normals @ flat_inner(normals, X)
 
     held: list[np.ndarray] = []
     jheld: list[np.ndarray] = []
@@ -396,40 +389,34 @@ def contact_frame(p, model: ConeModel, preset=None,
 def quotient_chart(frame: DistributionFrame) -> ChartMetric:
     """Local chart of Sigma / flow with the submersion metric.
 
-    The slice is the radial renormalization of the affine span of the
-    frame; slice tangents are pushed into the contact distribution along
-    xi0 before pairing with the induced metric.
+    The slice is the radial renormalization s -> t(s) psi(s) of the affine
+    span psi(s) = p + F s of the frame; slice tangents are pushed into the
+    contact distribution along xi0 before pairing with the induced metric.
+
+    A slice tangent is t F_a + (d_a t) psi, and its radial part drops out:
+    psi is parallel to q = t psi, the contact form vanishes on it
+    (g(q, Jq) = 0), so it does not change the xi0 component, and g_D
+    vanishes on it (g_D(q, .) = 0).  So the tangents are taken as t F, and
+    the metric is one Gram product of the projected block.
     """
     model = frame.model
     p0 = frame.point
     F = frame.vectors
-    k = frame.count
 
     def ev(s):
         psi = p0 + F @ s.astype(complex)
-        q_val = model.quadric(psi)
+        q_val = contact_form(model.act(psi), psi)
         ratio = model.target / q_val if q_val != 0.0 else -1.0
         if ratio <= 0.0:
             raise ChartFailureError("slice left the section's radial domain")
         t = np.sqrt(ratio)
         q = t * psi
-        grad = model.action_coefficients * psi   # quadric gradient direction
         xi0 = model.act(q)
-        lam_xi = contact_form(xi0, q)
-        cols = []
-        for a in range(k):
-            e = F[:, a]
-            dt = -t * flat_inner(e, grad) / q_val
-            V = t * e + dt * psi
-            c = contact_form(V, q) / lam_xi
-            cols.append(V - c * xi0)
-        g = np.empty((k, k))
-        for a in range(k):
-            for b in range(a, k):
-                g[a, b] = g[b, a] = induced_metric(q, cols[a], cols[b], model)
-        return g
+        V = t * F
+        H = V - _along(xi0, contact_form(V, q) / contact_form(xi0, q))
+        return induced_metric(q, H, H, model)
 
-    return ChartMetric(k, ev)
+    return ChartMetric(frame.count, ev)
 
 
 def rho_frame_matrix(frame: DistributionFrame) -> np.ndarray:
@@ -450,7 +437,8 @@ def curvature_template_at(frame: DistributionFrame,
     rho_m = rho_frame_matrix(frame)
     rho_m = 0.5 * (rho_m - rho_m.T)        # symmetrize away roundoff
     coeff = 0.5 if half_rho else 1.0
-    total = coeff * rho_m + 0.25 * model.act_norm2(frame.point) * km.J
+    xi0 = model.act(frame.point)
+    total = coeff * rho_m + 0.25 * flat_inner(xi0, xi0) * km.J
     return QUOTIENT_TEMPLATE_SCALE * curvature_from_rho(total, km, tol=1e-6).entries
 
 

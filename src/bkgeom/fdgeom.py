@@ -49,16 +49,11 @@ class ChartMetric:
         return g
 
 
-def metric_partials(chart: ChartMetric, p, step: float) -> np.ndarray:
-    """dg[k, i, j] = d_k g_ij by central differences."""
+def central_partials(f, p, step: float) -> np.ndarray:
+    """d_i f(p) by central differences, stacked on axis 0: (f(p+h) - f(p-h)) / (2 step)."""
     p = np.asarray(p, dtype=float)
-    d = chart.dim
-    dg = np.empty((d, d, d))
-    for k in range(d):
-        h = np.zeros(d)
-        h[k] = step
-        dg[k] = (chart.at(p + h) - chart.at(p - h)) / (2.0 * step)
-    return dg
+    return np.array([(np.asarray(f(p + h)) - np.asarray(f(p - h))) / (2.0 * step)
+                     for h in step * np.eye(p.size)])
 
 
 def christoffel(chart: ChartMetric, p, step: float = 1e-4) -> np.ndarray:
@@ -66,7 +61,7 @@ def christoffel(chart: ChartMetric, p, step: float = 1e-4) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     g = chart.at(p)
     ginv = np.linalg.inv(g)
-    dg = metric_partials(chart, p, step)
+    dg = central_partials(chart.at, p, step)   # dg[k, i, j] = d_k g_ij
     # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     T = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
     return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
@@ -76,14 +71,8 @@ def riemann(chart: ChartMetric, p, step: float = 1e-4,
             lowered: bool = True) -> np.ndarray:
     """Curvature tensor at p; R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l) when lowered."""
     p = np.asarray(p, dtype=float)
-    d = chart.dim
     Gamma = christoffel(chart, p, step)
-    dGamma = np.empty((d, d, d, d))
-    for a in range(d):
-        h = np.zeros(d)
-        h[a] = step
-        dGamma[a] = (christoffel(chart, p + h, step)
-                     - christoffel(chart, p - h, step)) / (2.0 * step)
+    dGamma = central_partials(lambda q: christoffel(chart, q, step), p, step)
     Rup = (np.einsum("iljk->lijk", dGamma) - np.einsum("jlik->lijk", dGamma)
            + np.einsum("lim,mjk->lijk", Gamma, Gamma)
            - np.einsum("ljm,mik->lijk", Gamma, Gamma))
@@ -130,11 +119,7 @@ def second_fundamental_form(ambient_chart: ChartMetric, embedding, p,
     q = np.asarray(embedding(p), dtype=float)
     D = q.size
 
-    E = np.empty((D, d))
-    for i in range(d):
-        h = np.zeros(d)
-        h[i] = step
-        E[:, i] = (np.asarray(embedding(p + h)) - np.asarray(embedding(p - h))) / (2 * step)
+    E = central_partials(embedding, p, step).T
 
     Hess = np.empty((D, d, d))
     for i in range(d):

@@ -20,8 +20,10 @@ from typing import Callable
 
 import numpy as np
 
+from .cone import flat_inner
 from .curvature import KaehlerModel
-from .fdgeom import ChartMetric, christoffel, cone_metric_chart, metric_partials, riemann, sectional
+from .fdgeom import (ChartMetric, central_partials, christoffel, cone_metric_chart, riemann,
+                     sectional)
 
 
 # -- round spheres in the inverse stereographic chart -------------------------
@@ -113,23 +115,13 @@ class SasakiReport:
         return max(self.unit_residual, self.killing_residual, self.identity_residual)
 
 
-def _field_partials(xi, p, step):
-    d = p.size
-    out = np.empty((d, d))
-    for i in range(d):
-        h = np.zeros(d)
-        h[i] = step
-        out[i] = (np.asarray(xi(p + h)) - np.asarray(xi(p - h))) / (2.0 * step)
-    return out  # out[i, k] = d_i xi^k
-
-
 def killing_residual(data: SasakiData, p, step: float = 1e-4) -> float:
     """Max entry of the Lie derivative (L_xi g)_ij, finite-differenced."""
     p = np.asarray(p, dtype=float)
     g = data.chart.at(p)
-    dg = metric_partials(data.chart, p, step)
+    dg = central_partials(data.chart.at, p, step)
     xv = np.asarray(data.xi(p))
-    dxi = _field_partials(data.xi, p, step)
+    dxi = central_partials(data.xi, p, step)   # dxi[i, k] = d_i xi^k
     lie = (np.einsum("k,kij->ij", xv, dg)
            + np.einsum("ik,kj->ij", dxi, g)
            + np.einsum("jk,ik->ij", dxi, g))
@@ -181,7 +173,7 @@ def transversal_J(data: SasakiData, p, step: float = 1e-4):
 
     def J_at(q):
         Gam = christoffel(data.chart, q, step)
-        dxi = _field_partials(data.xi, q, step)
+        dxi = central_partials(data.xi, q, step)
         xiq = np.asarray(data.xi(q))
         # (nabla_i xi)^k = d_i xi^k + Gamma^k_im xi^m
         nab = dxi.T + np.einsum("kim,m->ki", Gam, xiq)
@@ -227,29 +219,23 @@ def cpn_quotient_chart(n: int, radius: float = 1.0) -> ChartMetric:
     Affine chart w in C^n |-> z = radius * (w, 1)/|(w, 1)|; tangent vectors
     are lifted, projected onto the horizontal space {z, iz}^perp and paired
     with the ambient metric.  Real coordinates stack Re(w) over Im(w).
+    The 2n coordinate directions are one (n+1, 2n) column block, and the
+    metric is one Gram product.
     """
+    dzl = np.zeros((n + 1, 2 * n), dtype=complex)   # the affine lift's differential
+    dzl[:n] = np.hstack([np.eye(n), 1j * np.eye(n)])
 
     def ev(p):
         w = p[:n] + 1j * p[n:]
         zl = np.concatenate([w, [1.0]])
         nz = np.linalg.norm(zl)
         z = radius * zl / nz
-        # differential of the normalized lift applied to basis vectors
-        cols = []
-        for a in range(2 * n):
-            dv = np.zeros(n, dtype=complex)
-            dv[a % n] = 1.0 if a < n else 1.0j
-            dzl = np.concatenate([dv, [0.0]])
-            dz = radius * (dzl / nz - zl * np.vdot(zl, dzl).real / nz ** 3)
-            # horizontal projection: remove components along z and iz
-            dz = dz - z * np.vdot(z, dz).real / radius ** 2
-            dz = dz - (1j * z) * np.vdot(1j * z, dz).real / radius ** 2
-            cols.append(dz)
-        g = np.empty((2 * n, 2 * n))
-        for a in range(2 * n):
-            for b in range(a, 2 * n):
-                g[a, b] = g[b, a] = np.vdot(cols[a], cols[b]).real
-        return g
+        # differential of the normalized lift applied to the coordinate directions
+        dz = radius * (dzl / nz - np.outer(zl, flat_inner(zl, dzl)) / nz ** 3)
+        # horizontal projection: remove components along z and iz
+        dz = dz - np.outer(z, flat_inner(z, dz)) / radius ** 2
+        dz = dz - np.outer(1j * z, flat_inner(1j * z, dz)) / radius ** 2
+        return flat_inner(dz, dz)
 
     return ChartMetric(2 * n, ev)
 

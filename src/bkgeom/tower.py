@@ -195,7 +195,7 @@ def duality_action_check(a, samples: int = 10, seed: int = 0,
     if np.linalg.norm(a + a.conj().T) > 1e-10 * max(1.0, np.linalg.norm(a)):
         raise ValueError("duality check needs a skew-hermitian input")
     m = a.shape[0]
-    twist = a + np.trace(a) * np.eye(m)
+    twist = algebra_action(a, np.eye(m))   # a + tr(a) I
     M_twist = complex_to_real_endo(twist)
     M_plain = complex_to_real_endo(a)
     if not is_sp(M_twist) or not is_sp(M_plain):

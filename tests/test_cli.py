@@ -141,6 +141,23 @@ class TestOtherCommands:
         assert max(doc["symmetry_residuals"].values()) < 1e-10
         assert doc["fit_round_trip_error"] < 1e-9
 
+    @pytest.mark.parametrize("perturbation, tol_args, code", [
+        (1e-9, (), 0), (1e-6, (), 2), (1e-6, ("--tol", "1e-4"), 0)])
+    def test_curvature_matrix_checked_once_at_tol(self, perturbation, tol_args, code,
+                                                  tmp_path, capsys):
+        # a skew-hermitian input moved off u(n): --tol alone decides
+        rho = np.array([[0.5j, 1.0 + 0.2j], [-1.0 + 0.2j, -0.3j]])
+        rho[0, 0] += perturbation
+        path = tmp_path / "rho.json"
+        path.write_text(jsonio.dumps(jsonio.matrix_to_json(rho)))
+        assert main(["curvature", "-m", str(path), *tol_args]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out)["n"] == 2
+        else:
+            assert out == ""
+            assert json.loads(err) == {"error": "rho is not in u(n)", "kind": "validation"}
+
     def test_verify_prop(self):
         doc = json.loads(run_cli("verify-prop", "--n", "2", "--samples", "2").stdout)
         assert doc["max_residual"] <= 1e-3

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bkgeom.cone import (
     ConeModel,
@@ -27,7 +29,7 @@ from bkgeom.cone import (
     verify_curvature_prop,
 )
 from bkgeom.curvature import KaehlerModel
-from bkgeom.fdgeom import riemann, sectional
+from bkgeom.fdgeom import central_partials, riemann, sectional
 from bkgeom.hermitian import HermitianSpace, wedge_j
 
 
@@ -308,6 +310,25 @@ def test_pointwise_invariants_on_seeded_pairs():
     assert rho_bound <= 1e-9
 
 
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(2, 5), model_seed=st.integers(0, 10**6), point_seed=st.integers(0, 10**6))
+def test_block_evaluation_matches_columns(n, model_seed, point_seed):
+    # every pointwise formula takes an (n, k) column block; on the frame it
+    # must agree with evaluating one column at a time
+    model = random_type1_cone_model(n, model_seed)
+    p = sigma_sample(model, point_seed, 1)[0]
+    frame = contact_frame(p, model)
+    F, k = frame.vectors, frame.count
+    for endo in (j_m, rho_map):
+        by_column = np.column_stack([endo(p, F[:, a], model) for a in range(k)])
+        assert np.abs(endo(p, F, model) - by_column).max() <= 1e-14
+    gram = [[induced_metric(p, F[:, a], F[:, b], model) for b in range(k)] for a in range(k)]
+    assert np.abs(induced_metric(p, F, F, model) - np.array(gram)).max() <= 1e-14
+    assert np.abs(frame.metric_gram() - np.eye(k)).max() <= 1e-9
+    JF = frame.matrix_of(lambda X: j_m(p, X, model))
+    assert np.abs(JF - KaehlerModel(n - 1).J).max() <= 1e-9
+
+
 class TestContactFormIdentities:
     def test_coordinate_expression(self):
         # lambda(X) at p equals sum(x dy - y dx) in stacked coordinates
@@ -381,6 +402,38 @@ class TestCurvatureProposition:
             R = riemann(quotient_chart(fr), np.zeros(fr.count), 1e-4)
             vals[c] = float(np.abs(R).max())
         assert vals[1.0] / vals[0.5] == pytest.approx(2.0, rel=1e-4)
+
+    def test_chart_metric_from_differentiated_slice(self):
+        # the chart metric, built from the closed-form slice tangents t F, equals
+        # the induced metric on finite-difference tangents of the slice map
+        # s -> t(s) psi(s), radial part included, once they are projected along
+        # xi0; left unprojected they miss, which is the control
+        worst = 0.0
+        misses = []
+        for n in (2, 3, 4, 5):
+            for model in (cp_cone_model(n), random_type1_cone_model(n, 40 + n)):
+                frame = contact_frame(sigma_sample(model, n, 1)[0], model)
+                mc = frame.model
+                chart = quotient_chart(frame)
+
+                def slice_point(s):
+                    psi = frame.point + frame.vectors @ s
+                    return np.sqrt(mc.target / contact_form(mc.act(psi), psi)) * psi
+
+                rng = np.random.default_rng(n)
+                for _ in range(3):
+                    s = rng.standard_normal(frame.count)
+                    s *= 0.4 / np.linalg.norm(s)
+                    q = slice_point(s)
+                    xi0 = mc.act(q)
+                    T = central_partials(slice_point, s, 1e-5).T
+                    H = T - np.multiply.outer(xi0, contact_form(T, q) / contact_form(xi0, q))
+                    g = chart.at(s)
+                    worst = max(worst, float(np.abs(induced_metric(q, H, H, mc) - g).max()))
+                    misses.append(float(np.abs(induced_metric(q, T, T, mc) - g).max()))
+        assert worst <= 1e-8
+        assert min(misses) >= 1e-3
+        assert max(misses) >= 0.1
 
     def test_template_scale_is_fixed_global_constant(self):
         assert QUOTIENT_TEMPLATE_SCALE == -2.0
