@@ -111,6 +111,16 @@ class ConeModel:
             raise ValueError("sigma_sign must be +-1")
         object.__setattr__(self, "action", algebra_action(np.diag(1j * lam), np.eye(lam.size)))
 
+    def __eq__(self, other):
+        if not isinstance(other, ConeModel):
+            return NotImplemented
+        return (self.sigma_sign == other.sigma_sign
+                and np.array_equal(self.lambdas, other.lambdas))
+
+    def __hash__(self):
+        # tolist() hashes 0.0 and -0.0 alike, as array_equal compares them
+        return hash((tuple(self.lambdas.tolist()), self.sigma_sign))
+
     @property
     def n(self) -> int:
         return self.lambdas.size

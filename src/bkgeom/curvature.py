@@ -55,13 +55,28 @@ class KaehlerModel:
         return float(np.dot(x, self.J @ y))
 
 
-def is_unitary_algebra(h, model: KaehlerModel, tol: float = 1e-10) -> bool:
-    """h in u(n): commutes with J0 and is g0-skew."""
+def _unitary_algebra_residuals(h, model: KaehlerModel) -> tuple[float, float, float]:
+    """(||[h, J0]||, ||h + h^T||, max(1, ||h||)): the u(n) identities and their scale."""
     h = np.asarray(h, dtype=float)
     J = model.J
-    s = max(1.0, float(np.linalg.norm(h)))
-    return (np.linalg.norm(h @ J - J @ h) <= tol * s
-            and np.linalg.norm(h + h.T) <= tol * s)
+    return (float(np.linalg.norm(h @ J - J @ h)), float(np.linalg.norm(h + h.T)),
+            max(1.0, float(np.linalg.norm(h))))
+
+
+def is_unitary_algebra(h, model: KaehlerModel, tol: float = 1e-10) -> bool:
+    """h in u(n): commutes with J0 and is g0-skew."""
+    commutator, skew, scale = _unitary_algebra_residuals(h, model)
+    return commutator <= tol * scale and skew <= tol * scale
+
+
+def _require_unitary_algebra(h, model: KaehlerModel, tol: float, name: str) -> None:
+    """Refuse h outside u(n), naming both residuals and the threshold."""
+    commutator, skew, scale = _unitary_algebra_residuals(h, model)
+    if not (commutator <= tol * scale and skew <= tol * scale):
+        raise ValueError(
+            f"{name} is not in u(n): ||[{name}, J0]|| {commutator:.6e}, "
+            f"||{name} + {name}^T|| {skew:.6e}, threshold {tol * scale:.6e} "
+            f"= {tol:.6e} * max(1, ||{name}||)")
 
 
 def unitary_algebra_basis(n: int) -> list[np.ndarray]:
@@ -89,9 +104,12 @@ def complex_to_real_endo(C) -> np.ndarray:
 
 
 def to_real(z) -> np.ndarray:
-    """Complex vector in C^n to R^(2n): real parts stacked over imaginary parts."""
+    """Complex vector in C^n to R^(2n): real parts stacked over imaginary parts.
+
+    A stack of vectors (..., n) maps row by row to (..., 2n).
+    """
     z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def _outer(a, b) -> np.ndarray:
@@ -172,8 +190,7 @@ def _tensor_from_pair_endos(model: KaehlerModel, endo_of_pairs) -> np.ndarray:
 def curvature_from_h(h, model: KaehlerModel, tol: float = 1e-10) -> CurvatureTensor:
     """Template R_h built from the circle product; rejects h outside u(n)."""
     h = np.asarray(h, dtype=float)
-    if not is_unitary_algebra(h, model, tol):
-        raise ValueError("h is not in u(n)")
+    _require_unitary_algebra(h, model, tol, "h")
 
     def endo(X, Y):
         return (2.0 * _dot(X, Y @ model.J.T) * h
@@ -202,8 +219,7 @@ def rho_template_endo(rho, X, Y, model: KaehlerModel) -> np.ndarray:
 def curvature_from_rho(rho, model: KaehlerModel, tol: float = 1e-10) -> CurvatureTensor:
     """Template R_rho (the defining Bochner-Kaehler form); rejects rho outside u(n)."""
     rho = np.asarray(rho, dtype=float)
-    if not is_unitary_algebra(rho, model, tol):
-        raise ValueError("rho is not in u(n)")
+    _require_unitary_algebra(rho, model, tol, "rho")
     return CurvatureTensor(model.n, _tensor_from_pair_endos(
         model, lambda X, Y: rho_template_endo(rho, X, Y, model)))
 
@@ -271,8 +287,7 @@ def direction_flat_check(rho, X0, model: KaehlerModel,
     identically whenever it vanishes on one complex direction.
     """
     rho = np.asarray(rho, dtype=float)
-    if not is_unitary_algebra(rho, model, tol=1e-8):
-        raise ValueError("rho is not in u(n)")
+    _require_unitary_algebra(rho, model, 1e-8, "rho")
     X0 = np.asarray(X0, dtype=float)
     X0 = X0 / np.linalg.norm(X0)
     JX0 = model.J @ X0

@@ -27,7 +27,8 @@ than guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +56,7 @@ class EigenCluster:
 class EigenStructure:
     clusters: tuple[EigenCluster, ...]
     cluster_tol: float
+    scale: float                  # max(1, ||A||_2), the unit of every threshold on A
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class OrbitType:
 
 
 def _matrix_scale(A: np.ndarray) -> float:
-    return max(1.0, float(np.linalg.norm(A, 2)))
+    return max(1.0, float(np.linalg.svd(A, compute_uv=False)[0]))
 
 
 def _cluster(values: np.ndarray, thr: float) -> list[list[int]]:
@@ -151,7 +153,7 @@ def eigenstructure(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> EigenStru
             sizes.extend([sz] * (at_least[sz - 1] - at_least[sz]))
         clusters.append(EigenCluster(lam, m, tuple(sorted(sizes, reverse=True))))
     clusters.sort(key=lambda c: (round(c.eigenvalue.imag, 9), round(c.eigenvalue.real, 9)))
-    return EigenStructure(tuple(clusters), thr_c)
+    return EigenStructure(tuple(clusters), thr_c, scale)
 
 
 def _jordan_chain(M: np.ndarray, lam: complex, length: int, tol: float):
@@ -186,10 +188,13 @@ def _epsilon_from_chain(space: HermitianSpace, e: np.ndarray, f: np.ndarray,
 
 def classify(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> OrbitType:
     """Orbit type of a certified element, including the type-2 sign."""
-    es = eigenstructure(A, tol)
+    return _classify(A, tol, eigenstructure(A, tol))
+
+
+def _classify(A: SuElement, tol: float, es: EigenStructure) -> OrbitType:
+    """classify, read off the eigenstructure es = eigenstructure(A, tol)."""
     M = A.matrix
-    scale = _matrix_scale(M)
-    thr_re = tol * scale
+    thr_re = tol * es.scale
 
     nonimag = []
     for c in es.clusters:
@@ -235,17 +240,59 @@ def classify(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> OrbitType:
 class CharPoly:
     """Monic characteristic polynomial with structure-function cross-checks.
 
-    coefficients are those of prod(t - lam_i), highest degree first.
-    factored_residual evaluates the block factorization derived from the
-    grading template (det/cofactor form); displayed_residual evaluates the
-    same expression with the literal trace-shifted block and plain cofactor
-    pairing, kept as a recorded discrepancy rather than reconciled by fiat.
-    Residuals are None when the structure functions are not extractable.
+    coefficients are those of prod(t - lam_i), highest degree first, built
+    from the eigenvalues `roots` of `element`.  factored_residual evaluates
+    the block factorization derived from the grading template (det/cofactor
+    form); displayed_residual evaluates the same expression with the
+    literal trace-shifted block and plain cofactor pairing, kept as a
+    recorded discrepancy rather than reconciled by fiat.  Both residuals
+    are computed together on first read, and are None when the structure
+    functions are not extractable.
     """
 
     coefficients: np.ndarray
-    factored_residual: float | None
-    displayed_residual: float | None
+    element: SuElement = field(compare=False, repr=False)
+    roots: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def factored_residual(self) -> float | None:
+        return self._residuals[0]
+
+    @property
+    def displayed_residual(self) -> float | None:
+        return self._residuals[1]
+
+    @functools.cached_property
+    def _residuals(self) -> tuple[float | None, float | None]:
+        """Rescale the element so its g^-2 coefficient is 1/2, evaluate the
+        factorized polynomial of the rescaled element on a sample circle,
+        and map back through the scale."""
+        from .grading import NormalizationError, grading_basis, structure_functions
+
+        A, coeffs = self.element, self.coefficients
+        d = A.matrix.shape[0]
+        basis = grading_basis(A.space.n, validate=False)
+        try:
+            sf = structure_functions(A, basis)
+        except NormalizationError:
+            return None, None
+        if not sf.residual < 1e-6:
+            return None, None
+        s = sf.scale
+        radius = 2.0 * max(1.0, float(np.abs(self.roots).max()))
+        ts = radius * np.exp(2j * np.pi * (np.arange(24) + 0.37) / 24)
+        ref = np.array([np.polyval(coeffs, t) for t in ts])
+        norm = float(np.abs(ref).max())
+        sign = (-1.0) ** d
+
+        def monic_from_factored(shifted):
+            vals = np.array([
+                _eval_factored(sf.rho, sf.u, sf.f, s * t, shifted, ambient=d)
+                for t in ts])
+            return sign * vals / s ** d
+
+        return (float(np.abs(monic_from_factored(False) - ref).max() / norm),
+                float(np.abs(monic_from_factored(True) - ref).max() / norm))
 
 
 def _eval_factored(rho, u, f, t, shifted: bool, ambient: int):
@@ -267,43 +314,10 @@ def _eval_factored(rho, u, f, t, shifted: bool, ambient: int):
 
 
 def char_poly(A: SuElement, tol: float = 1e-10) -> CharPoly:
-    """det(A - tI) as ground truth (returned monic), plus factorization checks.
-
-    The cross-check rescales A so its g^-2 coefficient is 1/2, evaluates the
-    factorized polynomial of the rescaled element on a sample circle, and
-    maps back through the scale.
-    """
-    from .grading import NormalizationError, grading_basis, structure_functions
-
-    M = A.matrix
-    d = M.shape[0]
-    w = np.linalg.eigvals(M)
-    coeffs = np.poly(w)
-
-    factored_residual = None
-    displayed_residual = None
-    basis = grading_basis(A.space.n, validate=False)
-    try:
-        sf = structure_functions(A, basis)
-    except NormalizationError:
-        sf = None
-    if sf is not None and sf.residual < 1e-6:
-        s = sf.scale
-        radius = 2.0 * max(1.0, float(np.abs(w).max()))
-        ts = radius * np.exp(2j * np.pi * (np.arange(24) + 0.37) / 24)
-        ref = np.array([np.polyval(coeffs, t) for t in ts])
-        norm = float(np.abs(ref).max())
-        sign = (-1.0) ** d
-
-        def monic_from_factored(shifted):
-            vals = np.array([
-                _eval_factored(sf.rho, sf.u, sf.f, s * t, shifted, ambient=d)
-                for t in ts])
-            return sign * vals / s ** d
-
-        factored_residual = float(np.abs(monic_from_factored(False) - ref).max() / norm)
-        displayed_residual = float(np.abs(monic_from_factored(True) - ref).max() / norm)
-    return CharPoly(coeffs, factored_residual, displayed_residual)
+    """det(A - tI) as ground truth (returned monic); the factorization
+    cross-checks are left to the first read of a residual."""
+    w = np.linalg.eigvals(A.matrix)
+    return CharPoly(np.poly(w), A, w)
 
 
 # -- canonical bases ----------------------------------------------------------
@@ -361,11 +375,11 @@ def canonical_basis(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> Canonica
       type 3: antidiag(-1) with middle 1 in the chain block, identity after
       type 4: [[0, 1], [1, 0]] on the null eigenvector pair, identity after
     """
-    orbit = classify(A, tol)
+    es = eigenstructure(A, tol)
+    orbit = _classify(A, tol, es)
     space, M = A.space, A.matrix
     d = space.dim
     H = space.form_matrix
-    es = eigenstructure(A, tol)
 
     if orbit.tag == "1":
         pos_vecs, pos_vals, neg_vec, neg_val = [], [], None, None
@@ -453,7 +467,6 @@ def canonical_basis(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> Canonica
         gram = np.eye(d, dtype=complex)
         gram[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
 
-    resid_c = float(np.linalg.norm(np.linalg.solve(basis, M @ basis) - canon)
-                    / _matrix_scale(M))
+    resid_c = float(np.linalg.norm(np.linalg.solve(basis, M @ basis) - canon) / es.scale)
     resid_g = float(np.linalg.norm(basis.conj().T @ H @ basis - gram))
     return CanonicalBasis(orbit, basis, canon, gram, resid_c, resid_g)

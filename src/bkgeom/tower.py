@@ -181,6 +181,18 @@ class DualityReport:
         }
 
 
+def _pm_distance(x, y) -> float:
+    """max over rows of min(|x - y|, |x + y|): the distance on R^(2m)/{+-1}.
+
+    Each row norm is sqrt(v . v) as a stacked mat-vec, which equals
+    np.linalg.norm of that row bit for bit.
+    """
+    def row_norms(v):
+        return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+    return float(np.minimum(row_norms(x - y), row_norms(x + y)).max(initial=0.0))
+
+
 def duality_action_check(a, samples: int = 10, seed: int = 0,
                          timesteps: int = 64) -> DualityReport:
     """Compare the twisted u(m) cone flow against its symplectic partner.
@@ -189,7 +201,9 @@ def duality_action_check(a, samples: int = 10, seed: int = 0,
     exp(t (a + tr(a) I)); its partner in sp(m, R) is the realification of
     the same twisted matrix acting on R^(2m)/{+-1}.  Residuals are maxima
     over seeded start points and a uniform time grid on [0, 1], taking the
-    +- quotient into account.
+    +- quotient into account.  Each of the three flows is computed once on
+    the time grid, as one stack of exponentials, and then applied to every
+    start point.
     """
     a = np.asarray(a, dtype=complex)
     if np.linalg.norm(a + a.conj().T) > 1e-10 * max(1.0, np.linalg.norm(a)):
@@ -202,17 +216,15 @@ def duality_action_check(a, samples: int = 10, seed: int = 0,
         raise AssertionError("realified u(m) element left sp(m, R)")
 
     rng = np.random.default_rng(seed)
-    ts = np.linspace(0.0, 1.0, timesteps)
+    ts = np.linspace(0.0, 1.0, timesteps)[:, None, None]
+    flow_c, flow_t, flow_u = (scipy.linalg.expm(ts * X) for X in (twist, M_twist, M_plain))
     resid_t, resid_u = 0.0, 0.0
     for _ in range(samples):
         x0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         y0 = to_real(x0)
-        for t in ts:
-            xc = to_real(scipy.linalg.expm(t * twist) @ x0)
-            yt = scipy.linalg.expm(t * M_twist) @ y0
-            yu = scipy.linalg.expm(t * M_plain) @ y0
-            resid_t = max(resid_t, min(np.linalg.norm(xc - yt), np.linalg.norm(xc + yt)))
-            resid_u = max(resid_u, min(np.linalg.norm(xc - yu), np.linalg.norm(xc + yu)))
+        xc = to_real(np.matmul(flow_c, x0))
+        resid_t = max(resid_t, _pm_distance(xc, np.matmul(flow_t, y0)))
+        resid_u = max(resid_u, _pm_distance(xc, np.matmul(flow_u, y0)))
 
     g = random_sp(rng, 2 * m)
     equi = 0.0

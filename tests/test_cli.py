@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -156,7 +157,20 @@ class TestOtherCommands:
             assert json.loads(out)["n"] == 2
         else:
             assert out == ""
-            assert json.loads(err) == {"error": "rho is not in u(n)", "kind": "validation"}
+            doc = json.loads(err)
+            assert doc["kind"] == "validation"
+            fields = re.fullmatch(
+                r"rho is not in u\(n\): \|\|\[rho, J0\]\|\| (\S+), "
+                r"\|\|rho \+ rho\^T\|\| (\S+), threshold (\S+) = (\S+) \* max\(1, \|\|rho\|\|\)",
+                doc["error"])
+            commutator, skew, threshold, tol = map(float, fields.groups())
+            # a complex matrix realifies into the commutant of J0; only the
+            # hermitian part of the perturbed entry breaks skewness
+            assert commutator == 0.0
+            assert skew == pytest.approx(2.0 * np.sqrt(2.0) * perturbation, rel=1e-6)
+            assert tol == 1e-8
+            assert threshold == pytest.approx(tol * 2.2, rel=1e-6)   # ||rho|| = 2.2
+            assert skew > threshold
 
     def test_verify_prop(self):
         doc = json.loads(run_cli("verify-prop", "--n", "2", "--samples", "2").stdout)

@@ -125,6 +125,30 @@ class TestActions:
         assert np.abs(num - algebra_action(a, x)).max() < 1e-8
 
 
+class TestModelIdentity:
+    def test_equal_specs_compare_equal(self):
+        a, b = cp_cone_model(3), cp_cone_model(3)
+        assert a == b and hash(a) == hash(b)
+        assert ConeModel([0.0, 0.5]) == ConeModel([-0.0, 0.5])
+        assert hash(ConeModel([0.0, 0.5])) == hash(ConeModel([-0.0, 0.5]))
+
+    def test_changed_spec_compares_unequal(self):
+        model = random_type1_cone_model(3, 0)
+        moved = model.lambdas.copy()
+        moved[1] = np.nextafter(moved[1], np.inf)
+        assert model != ConeModel(moved, model.sigma_sign)
+        assert model != ConeModel(model.lambdas, -model.sigma_sign)
+        assert model != ConeModel(model.lambdas[:2], model.sigma_sign)
+        assert model != tuple(model.lambdas)
+
+    def test_set_member_and_dict_key(self):
+        models = {cp_cone_model(2), cp_cone_model(2), cp_cone_model(3),
+                  random_type1_cone_model(3, 0), random_type1_cone_model(3, 0)}
+        assert len(models) == 3
+        table = {cp_cone_model(3): "cp3"}
+        assert table[cp_cone_model(3)] == "cp3"
+
+
 class TestSection:
     def test_sampler_residuals(self):
         for model in (cp_cone_model(2), random_type1_cone_model(3, 1)):

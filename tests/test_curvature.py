@@ -68,11 +68,17 @@ class TestTemplates:
         assert np.abs(curvature_from_h(np.zeros((4, 4)), km).entries).max() == 0.0
 
     def test_rejects_non_un(self):
+        # I commutes with J0 but is not skew: ||I + I^T|| = 4 against
+        # tol * max(1, ||I||) = 2 tol; every refusal names both residuals
         km = KaehlerModel(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=(
+                r"^rho is not in u\(n\): \|\|\[rho, J0\]\|\| 0\.0+e\+00, "
+                r"\|\|rho \+ rho\^T\|\| 4\.0+e\+00, threshold 2\.0+e-10 ")):
             curvature_from_rho(np.eye(4), km)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^h is not in u\(n\): .* threshold 2\.0+e-10 "):
             curvature_from_h(np.eye(4), km)
+        with pytest.raises(ValueError, match=r"^rho is not in u\(n\): .* threshold 2\.0+e-08 "):
+            direction_flat_check(np.eye(4), np.ones(4), km)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_symmetries(self, n):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bkgeom import grading, orbits
 from bkgeom.grading import cp_generator
 from bkgeom.hermitian import (
     HermitianSpace,
@@ -25,6 +28,18 @@ EXPECTED_TAG = {
     "jordan3": "3",
     "split-real": "4",
 }
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a pass-through that logs each call in the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def conjugated(A, seed):
@@ -153,6 +168,32 @@ class TestClassify:
             classify(el)
 
 
+@st.composite
+def profiled_elements(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    profile = draw(st.sampled_from(sorted(EXPECTED_TAG)))
+    kw = {"epsilon": draw(st.sampled_from([1, -1]))} if profile == "jordan2" else {}
+    return random_su(draw(st.integers(0, 10**6)), HermitianSpace(n), profile, **kw)
+
+
+NEGATED_TAG = {"1": "1", "2a": "2b", "2b": "2a", "3": "3", "4": "4"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(A=profiled_elements(), conj_seed=st.integers(0, 10**6),
+       c=st.floats(0.25, 4.0))
+def test_classify_invariances(A, conj_seed, c):
+    # the orbit type is a conjugacy invariant and blind to positive scale;
+    # a negative scale reverses the chain pairing, so 2a and 2b trade places
+    t0 = classify(A)
+    for B in (conjugated(A, conj_seed), A.scaled(c)):
+        t = classify(B)
+        assert (t.tag, t.epsilon) == (t0.tag, t0.epsilon)
+    t = classify(A.scaled(-c))
+    assert t.tag == NEGATED_TAG[t0.tag]
+    assert t.epsilon == (None if t0.epsilon is None else -t0.epsilon)
+
+
 class TestCharPoly:
     def test_projective_generator_closed_form(self):
         # (t + i/(2(n+2)))^(n+1) (t - i(n+1)/(2(n+2))) for the ambient n+1 case
@@ -192,6 +233,33 @@ class TestCharPoly:
         sp = HermitianSpace(2)
         pc = char_poly(su_element(np.diag([0.4j, -0.2j, -0.2j]), sp))
         assert pc.factored_residual is None
+        assert pc.displayed_residual is None
+
+    def test_cross_check_runs_on_first_read_only(self, monkeypatch):
+        calls = count_calls(monkeypatch, grading, "structure_functions")
+        pc = char_poly(cp_generator(HermitianSpace(3)))
+        assert len(pc.coefficients) == 5
+        assert calls == []
+        first = (pc.factored_residual, pc.displayed_residual)
+        assert len(calls) == 1
+        assert pc.factored_residual is first[0]
+        assert pc.displayed_residual is first[1]
+        assert len(calls) == 1
+
+
+class TestOneEigenAnalysis:
+    @pytest.mark.parametrize("profile", sorted(EXPECTED_TAG))
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_basis_orbit_and_scale(self, profile, n):
+        A = random_su(5, HermitianSpace(n), profile)
+        assert canonical_basis(A).orbit == classify(A)
+        assert eigenstructure(A).scale == max(1.0, np.linalg.norm(A.matrix, 2))
+
+    @pytest.mark.parametrize("profile", sorted(EXPECTED_TAG))
+    def test_canonical_basis_builds_one_eigenstructure(self, profile, monkeypatch):
+        calls = count_calls(monkeypatch, orbits, "eigenstructure")
+        canonical_basis(random_su(5, HermitianSpace(3), profile))
+        assert len(calls) == 1
 
 
 class TestCanonicalBasis:

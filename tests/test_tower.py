@@ -165,6 +165,42 @@ class TestDuality:
         with pytest.raises(ValueError):
             duality_action_check(np.eye(2))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("samples, timesteps", [(3, 64), (4, 32)])
+    def test_stacked_flows_match_pointwise_reference(self, m, samples, timesteps):
+        # one exponential per (start point, time), as the check is defined;
+        # the stacked trajectories must reproduce it bit for bit
+        from bkgeom.cone import algebra_action
+        from bkgeom.curvature import complex_to_real_endo, to_real
+
+        rng = np.random.default_rng(40 + m)
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        a = 0.5 * (a - a.conj().T)
+        twist = algebra_action(a, np.eye(m))
+        M_twist, M_plain = complex_to_real_endo(twist), complex_to_real_endo(a)
+        draw = np.random.default_rng(m)
+        resid_t = resid_u = 0.0
+        for _ in range(samples):
+            x0 = draw.standard_normal(m) + 1j * draw.standard_normal(m)
+            y0 = to_real(x0)
+            for t in np.linspace(0.0, 1.0, timesteps):
+                xc = to_real(scipy.linalg.expm(t * twist) @ x0)
+                yt = scipy.linalg.expm(t * M_twist) @ y0
+                yu = scipy.linalg.expm(t * M_plain) @ y0
+                resid_t = max(resid_t, min(np.linalg.norm(xc - yt), np.linalg.norm(xc + yt)))
+                resid_u = max(resid_u, min(np.linalg.norm(xc - yu), np.linalg.norm(xc + yu)))
+        g = random_sp(draw, 2 * m)
+        equi = 0.0
+        for _ in range(samples):
+            x = draw.standard_normal(2 * m)
+            rhs = g @ sp_square(x) @ np.linalg.inv(g)
+            equi = max(equi, float(np.abs(sp_square(g @ x) - rhs).max()
+                                   / max(1.0, np.abs(rhs).max())))
+        rep = duality_action_check(a, samples=samples, seed=m, timesteps=timesteps)
+        assert rep.twisted_residual == resid_t
+        assert rep.untwisted_residual == resid_u
+        assert rep.sq_equivariance == equi
+
     def test_realified_u_is_sp(self):
         from bkgeom.curvature import complex_to_real_endo
 
