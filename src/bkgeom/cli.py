@@ -72,9 +72,9 @@ def _su_input(args) -> hermitian.SuElement:
 
 def _cmd_classify(args) -> dict:
     A = _su_input(args)
-    ot = orbits.classify(A, args.tol)
-    pc = orbits.char_poly(A)
     es = orbits.eigenstructure(A, args.tol)
+    ot = orbits.classify_from(A, args.tol, es)
+    pc = orbits.char_poly(A)
     r_skew, r_tr, scale = hermitian.su_residuals(A.matrix, A.space)
     return {
         "type": ot.tag,

@@ -269,7 +269,7 @@ def j_m(p, X, model: ConeModel) -> np.ndarray:
             - _along(1j * p, flat_inner(X, p) / flat_inner(p, p)))
 
 
-def induced_metric(p, X, Y, model: ConeModel):
+def induced_metric(p, X, Y):
     """Degenerate metric on Sigma; positive definite on the contact distribution."""
     return flat_inner(X, Y) - _along(flat_inner(X, p), flat_inner(Y, p)) / flat_inner(p, p)
 
@@ -291,7 +291,7 @@ def rho_map(p, X, model: ConeModel) -> np.ndarray:
             + _along(p, flat_inner(X, model.act(model.act(1j * p)))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionFrame:
     """J_M-adapted orthonormal frame of the contact distribution at p.
 
@@ -310,11 +310,11 @@ class DistributionFrame:
         return self.vectors.shape[1]
 
     def metric_gram(self) -> np.ndarray:
-        return induced_metric(self.point, self.vectors, self.vectors, self.model)
+        return induced_metric(self.point, self.vectors, self.vectors)
 
     def matrix_of(self, endo) -> np.ndarray:
         """Frame matrix of a D -> D map given as a callable on (n, k) column blocks."""
-        return induced_metric(self.point, self.vectors, endo(self.vectors), self.model)
+        return induced_metric(self.point, self.vectors, endo(self.vectors))
 
 
 def _distribution_normals(p, model: ConeModel) -> np.ndarray:
@@ -362,7 +362,7 @@ def contact_frame(p, model: ConeModel, preset=None,
 
     def deflate(w):
         for u in held + jheld:
-            w = w - induced_metric(p, w, u, model) * u
+            w = w - induced_metric(p, w, u) * u
         return w
 
     cands = [np.eye(n, dtype=complex)[:, j] * s for j in range(n) for s in (1.0, 1.0j)]
@@ -372,12 +372,12 @@ def contact_frame(p, model: ConeModel, preset=None,
             raise ChartFailureError("could not complete the contact frame")
         w = deflate(project(cands[ci]))
         ci += 1
-        nw = induced_metric(p, w, w, model)
+        nw = induced_metric(p, w, w)
         if nw < 0.05:
             continue
         v = w / np.sqrt(nw)
         jv = deflate(j_m(p, v, model))
-        njv = induced_metric(p, jv, jv, model)
+        njv = induced_metric(p, jv, jv)
         if njv < 0.05:
             raise ChartFailureError("J_M image collapsed during frame construction")
         held.append(v)
@@ -424,7 +424,7 @@ def quotient_chart(frame: DistributionFrame) -> ChartMetric:
         xi0 = model.act(q)
         V = t * F
         H = V - _along(xi0, contact_form(V, q) / contact_form(xi0, q))
-        return induced_metric(q, H, H, model)
+        return induced_metric(q, H, H)
 
     return ChartMetric(frame.count, ev)
 
@@ -452,7 +452,7 @@ def curvature_template_at(frame: DistributionFrame,
     return QUOTIENT_TEMPLATE_SCALE * curvature_from_rho(total, km, tol=1e-6).entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropositionPointReport:
     point: np.ndarray
     residual: float
@@ -461,7 +461,7 @@ class PropositionPointReport:
     frame_conditioning: float   # deviation of the frame Gram from identity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropositionReport:
     model: ConeModel
     fd_step: float

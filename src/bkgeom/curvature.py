@@ -134,7 +134,7 @@ def circle(X, Y, model: KaehlerModel) -> np.ndarray:
             + _dot(JX, JY) * J)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureTensor:
     """Dense rank-4 tensor with Kaehler curvature symmetries."""
 

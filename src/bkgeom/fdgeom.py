@@ -12,11 +12,16 @@ the textbook coordinate formulas and central differences:
 with the curvature sign fixed so that the round unit sphere has sectional
 curvature +1.  No automatic differentiation anywhere.  The scheme is
 second order: halving the step shrinks curvature errors by about 4x.
+
+`central_partials` is the one first-difference formula, here and in every
+caller of the oracle; only the Hessian stencil of `second_fundamental_form`
+is written out apart.  A chart refuses a point outside its domain by
+raising from its `eval`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,20 +35,16 @@ class ChartBoundaryError(ValueError):
 class ChartMetric:
     """A metric field on an open chart of R^dim.
 
-    eval returns the symmetric matrix g_ij(p); domain_check guards every
-    finite-difference sample point.  eval must be safe to call
-    concurrently (pure function of p).
+    eval returns the symmetric matrix g_ij(p) and raises for a point
+    outside the chart domain; every finite-difference sample point goes
+    through it.  eval must be safe to call concurrently (pure function of p).
     """
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
-    domain_check: Callable[[np.ndarray], bool] = field(default=lambda p: True)
 
     def at(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if not self.domain_check(p):
-            raise ChartBoundaryError(f"point {p} outside chart domain")
-        g = np.asarray(self.eval(p), dtype=float)
+        g = np.asarray(self.eval(np.asarray(p, dtype=float)), dtype=float)
         if g.shape != (self.dim, self.dim):
             raise ValueError("metric eval returned wrong shape")
         return g
@@ -67,17 +68,14 @@ def christoffel(chart: ChartMetric, p, step: float = 1e-4) -> np.ndarray:
     return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
 
 
-def riemann(chart: ChartMetric, p, step: float = 1e-4,
-            lowered: bool = True) -> np.ndarray:
-    """Curvature tensor at p; R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l) when lowered."""
+def riemann(chart: ChartMetric, p, step: float = 1e-4) -> np.ndarray:
+    """Curvature tensor at p; R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l)."""
     p = np.asarray(p, dtype=float)
     Gamma = christoffel(chart, p, step)
     dGamma = central_partials(lambda q: christoffel(chart, q, step), p, step)
     Rup = (np.einsum("iljk->lijk", dGamma) - np.einsum("jlik->lijk", dGamma)
            + np.einsum("lim,mjk->lijk", Gamma, Gamma)
            - np.einsum("ljm,mik->lijk", Gamma, Gamma))
-    if not lowered:
-        return Rup
     g = chart.at(p)
     return np.einsum("lm,mijk->ijkl", g, Rup)
 
@@ -97,7 +95,7 @@ def sectional(chart: ChartMetric, p, X, Y, step: float = 1e-4) -> float:
     return float(num / den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecondFundamentalForm:
     """Normal-valued second fundamental form of an embedded chart."""
 
@@ -164,10 +162,7 @@ def cone_metric_chart(base_chart: ChartMetric) -> ChartMetric:
         g[d, d] = 1.0
         return g
 
-    def dom(p):
-        return p[d] > 0.0 and base_chart.domain_check(p[:d])
-
-    return ChartMetric(d + 1, ev, dom)
+    return ChartMetric(d + 1, ev)
 
 
 def euclidean_chart(dim: int) -> ChartMetric:

@@ -39,7 +39,7 @@ def _bracket(a, b):
     return a @ b - b @ a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradingBasis:
     """Long-root vectors, grading coroot and grade projectors for su(n,1)."""
 
@@ -162,7 +162,7 @@ def grade_split(A: SuElement, basis: GradingBasis | None = None) -> dict[int, np
     return basis.split(A.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureFunctions:
     """(rho, u, f) of the normalized grading template, plus diagnostics."""
 

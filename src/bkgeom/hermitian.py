@@ -102,7 +102,7 @@ class HermitianSpace:
         return self.herm(x, y).imag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuElement:
     """A matrix certified to lie in su(n,1) within `tolerance_used`."""
 

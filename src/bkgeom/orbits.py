@@ -188,11 +188,11 @@ def _epsilon_from_chain(space: HermitianSpace, e: np.ndarray, f: np.ndarray,
 
 def classify(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> OrbitType:
     """Orbit type of a certified element, including the type-2 sign."""
-    return _classify(A, tol, eigenstructure(A, tol))
+    return classify_from(A, tol, eigenstructure(A, tol))
 
 
-def _classify(A: SuElement, tol: float, es: EigenStructure) -> OrbitType:
-    """classify, read off the eigenstructure es = eigenstructure(A, tol)."""
+def classify_from(A: SuElement, tol: float, es: EigenStructure) -> OrbitType:
+    """classify, read off an eigenstructure already built as es = eigenstructure(A, tol)."""
     M = A.matrix
     thr_re = tol * es.scale
 
@@ -236,7 +236,7 @@ def _classify(A: SuElement, tol: float, es: EigenStructure) -> OrbitType:
 # -- characteristic polynomial ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharPoly:
     """Monic characteristic polynomial with structure-function cross-checks.
 
@@ -323,7 +323,7 @@ def char_poly(A: SuElement, tol: float = 1e-10) -> CharPoly:
 # -- canonical bases ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalBasis:
     """Basis B with B^-1 A B in canonical form and prescribed column Gram.
 
@@ -376,7 +376,7 @@ def canonical_basis(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> Canonica
       type 4: [[0, 1], [1, 0]] on the null eigenvector pair, identity after
     """
     es = eigenstructure(A, tol)
-    orbit = _classify(A, tol, es)
+    orbit = classify_from(A, tol, es)
     space, M = A.space, A.matrix
     d = space.dim
     H = space.form_matrix

@@ -136,18 +136,11 @@ def sasaki_residual(data: SasakiData, p, step: float = 1e-4) -> SasakiReport:
     unit = float(abs(xv @ g @ xv - 1.0))
     kill = killing_residual(data, p, step)
 
-    d = data.chart.dim
-    Rup = riemann(data.chart, p, step, lowered=False)
-    resid = 0.0
-    eye = np.eye(d)
-    # R(e_i, xi) e_k = Rup[l, i, j, k] xi^j
-    Rxi = np.einsum("lijk,j->lik", Rup, xv)
-    for i in range(d):
-        for k in range(d):
-            lhs = Rxi[:, i, k]
-            rhs = float(xv @ g @ eye[k]) * eye[i] - float(eye[i] @ g @ eye[k]) * xv
-            diff = lhs - rhs
-            resid = max(resid, float(np.sqrt(diff @ g @ diff)))
+    # R(e_i, xi, e_k, .) - g(xi, e_k) g(e_i, .) + g(e_i, e_k) g(xi, .), as covectors
+    gxi = g @ xv
+    diff = (np.einsum("ijkl,j->ikl", riemann(data.chart, p, step), xv)
+            - gxi[None, :, None] * g[:, None, :] + g[:, :, None] * gxi[None, None, :])
+    resid = float(np.sqrt(np.einsum("ikl,lm,ikm->ik", diff, np.linalg.inv(g), diff)).max())
     return SasakiReport(unit, kill, resid)
 
 
@@ -182,31 +175,24 @@ def transversal_J(data: SasakiData, p, step: float = 1e-4):
     J = J_at(p)
 
     # contact hyperplane: g-orthogonal complement of xi
-    row = (g @ xv)[None, :]
-    _, _, vh = np.linalg.svd(row)
+    gxi = g @ xv
+    _, _, vh = np.linalg.svd(gxi[None, :])
     D = vh[1:].T  # d-1 columns spanning ker
     sq = J @ J + np.eye(d)
     square_res = float(np.abs(sq @ D).max())
-    contact_res = float(np.abs((g @ xv) @ (J @ D)).max())
+    contact_res = float(np.abs(gxi @ (J @ D)).max())
 
+    # (nabla_X J) Y for hyperplane pairs X = D_a, Y = D_b, with Y extended
+    # coordinate-constant: d_X(J Y) + Gamma(X, J Y) - J Gamma(X, Y); dJ[a]
+    # differences J at p +- step D_a
     Gam = christoffel(data.chart, p, step)
-    xi_gnorm2 = float(xv @ g @ xv)
-    nabJ = 0.0
-    for a in range(D.shape[1]):
-        X = D[:, a]
-        # nabla_X (J Y) for the coordinate-constant extension of Y; J at
-        # p +- step X depends on X only, so it is evaluated once per X
-        J_plus, J_minus = J_at(p + step * X), J_at(p - step * X)
-        for b in range(D.shape[1]):
-            Y = D[:, b]
-            dW = (J_plus @ Y - J_minus @ Y) / (2.0 * step)
-            nab_X_JY = dW + np.einsum("kim,i,m->k", Gam, X, J @ Y)
-            nab_X_Y = np.einsum("kim,i,m->k", Gam, X, Y)
-            diff = nab_X_JY - J @ nab_X_Y
-            # the parallelism statement lives on D: (nabla_X J)Y has only a
-            # xi-component (equal to g(X,Y) xi on a Sasaki manifold)
-            diff = diff - xv * float(diff @ g @ xv) / xi_gnorm2
-            nabJ = max(nabJ, float(np.sqrt(diff @ g @ diff)))
+    dJ = central_partials(lambda s: J_at(p + D @ s), np.zeros(d - 1), step)
+    diff = (dJ @ D + np.einsum("kim,ia,mb->akb", Gam, D, J @ D)
+            - J @ np.einsum("kim,ia,mb->akb", Gam, D, D))
+    # the parallelism statement lives on D: (nabla_X J)Y has only a
+    # xi-component (equal to g(X,Y) xi on a Sasaki manifold)
+    diff = diff - xv[None, :, None] * (gxi @ diff / float(xv @ gxi))[:, None, :]
+    nabJ = float(np.sqrt(np.einsum("akb,kl,alb->ab", diff, g, diff)).max())
     return J, TransversalReport(square_res, contact_res, nabJ)
 
 
@@ -243,7 +229,7 @@ def cpn_quotient_chart(n: int, radius: float = 1.0) -> ChartMetric:
 # -- the full pipeline ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineReport:
     sasaki: SasakiReport
     cone_flatness: float

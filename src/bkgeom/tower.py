@@ -124,10 +124,7 @@ def verify_tower_geodesic(model: ConeModel, lambda0: float, samples: int = 3,
         controls.append(ii_bad.norm)
 
         # isometry of the embedding: base metric vs pulled-back ambient metric
-        E = np.zeros((ka, frame.count))
-        for a in range(kb):
-            E[a, a] = 1.0
-            E[kb + 1 + a, kb + a] = 1.0
+        E = ii.tangent_frame
         worst = 0.0
         for _ in range(3):
             s = 0.05 * rng.standard_normal(frame.count)

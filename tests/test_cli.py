@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from bkgeom import jsonio
+from bkgeom import jsonio, orbits
 from bkgeom.cli import main
 from bkgeom.grading import cp_generator
 from bkgeom.hermitian import HermitianSpace, random_su, su_element, su_project
@@ -114,6 +114,14 @@ class TestClassifyCommand:
         r1 = run_cli("classify", "-m", cp_matrix)
         r2 = run_cli("classify", "-m", cp_matrix)
         assert r1.stdout == r2.stdout
+
+    def test_one_eigenstructure_per_report(self, cp_matrix, monkeypatch, capsys):
+        calls, real = [], orbits.eigenstructure
+        monkeypatch.setattr(orbits, "eigenstructure",
+                            lambda *args: calls.append(args) or real(*args))
+        assert main(["classify", "-m", cp_matrix]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == run_cli("classify", "-m", cp_matrix).stdout
 
 
 class TestOtherCommands:

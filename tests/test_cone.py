@@ -231,9 +231,8 @@ class TestContactGeometry:
             c2 = rng.standard_normal(self.frame.count)
             X = self.frame.vectors @ c1
             Y = self.frame.vectors @ c2
-            gx = induced_metric(self.p, X, Y, self.model)
-            gj = induced_metric(self.p, j_m(self.p, X, self.model),
-                                j_m(self.p, Y, self.model), self.model)
+            gx = induced_metric(self.p, X, Y)
+            gj = induced_metric(self.p, j_m(self.p, X, self.model), j_m(self.p, Y, self.model))
             assert abs(gx - gj) < 1e-9 * max(1.0, abs(gx))
 
     def test_projective_frame_at_axis_point_spans_other_directions(self):
@@ -247,9 +246,9 @@ class TestContactGeometry:
 
     def test_metric_unit_and_degenerate_directions(self):
         X = self.frame.vectors[:, 0]
-        assert induced_metric(self.p, X, X, self.model) == pytest.approx(1.0, abs=1e-9)
+        assert induced_metric(self.p, X, X) == pytest.approx(1.0, abs=1e-9)
         # the radial direction is degenerate
-        assert abs(induced_metric(self.p, self.p, self.p, self.model)) < 1e-12
+        assert abs(induced_metric(self.p, self.p, self.p)) < 1e-12
 
     def test_tangency_error(self):
         # alpha = (0.75, 0): the flow fixes the second axis, so xi0 vanishes
@@ -281,12 +280,10 @@ class TestRhoMap:
             for b in range(self.frame.count):
                 X = self.frame.vectors[:, a]
                 Y = self.frame.vectors[:, b]
-                lhs = induced_metric(self.p, rho_map(self.p, X, self.model), Y,
-                                     self.model)
+                lhs = induced_metric(self.p, rho_map(self.p, X, self.model), Y)
                 rhs = flat_inner(mc.act(X), Y)
                 assert abs(lhs - rhs) < 1e-9
-                sym = lhs + induced_metric(self.p, rho_map(self.p, Y, self.model),
-                                           X, self.model)
+                sym = lhs + induced_metric(self.p, rho_map(self.p, Y, self.model), X)
                 assert abs(sym) < 1e-9
 
     def test_commutes_with_jm(self):
@@ -320,11 +317,11 @@ def test_pointwise_invariants_on_seeded_pairs():
         Y = frame.vectors @ rng.standard_normal(frame.count)
         JJX = j_m(p, j_m(p, X, model), model)
         J_bound = max(J_bound, float(np.abs(JJX + X).max()))
-        gx = induced_metric(p, X, Y, model)
-        gj = induced_metric(p, j_m(p, X, model), j_m(p, Y, model), model)
+        gx = induced_metric(p, X, Y)
+        gj = induced_metric(p, j_m(p, X, model), j_m(p, Y, model))
         metric_bound = max(metric_bound, abs(gx - gj))
-        skew = (induced_metric(p, rho_map(p, X, model), Y, model)
-                + induced_metric(p, X, rho_map(p, Y, model), model))
+        skew = (induced_metric(p, rho_map(p, X, model), Y)
+                + induced_metric(p, X, rho_map(p, Y, model)))
         M = rho_frame_matrix(frame)
         J0 = KaehlerModel(n - 1).J
         rho_bound = max(rho_bound, abs(skew),
@@ -346,8 +343,8 @@ def test_block_evaluation_matches_columns(n, model_seed, point_seed):
     for endo in (j_m, rho_map):
         by_column = np.column_stack([endo(p, F[:, a], model) for a in range(k)])
         assert np.abs(endo(p, F, model) - by_column).max() <= 1e-14
-    gram = [[induced_metric(p, F[:, a], F[:, b], model) for b in range(k)] for a in range(k)]
-    assert np.abs(induced_metric(p, F, F, model) - np.array(gram)).max() <= 1e-14
+    gram = [[induced_metric(p, F[:, a], F[:, b]) for b in range(k)] for a in range(k)]
+    assert np.abs(induced_metric(p, F, F) - np.array(gram)).max() <= 1e-14
     assert np.abs(frame.metric_gram() - np.eye(k)).max() <= 1e-9
     JF = frame.matrix_of(lambda X: j_m(p, X, model))
     assert np.abs(JF - KaehlerModel(n - 1).J).max() <= 1e-9
@@ -453,8 +450,8 @@ class TestCurvatureProposition:
                     T = central_partials(slice_point, s, 1e-5).T
                     H = T - np.multiply.outer(xi0, contact_form(T, q) / contact_form(xi0, q))
                     g = chart.at(s)
-                    worst = max(worst, float(np.abs(induced_metric(q, H, H, mc) - g).max()))
-                    misses.append(float(np.abs(induced_metric(q, T, T, mc) - g).max()))
+                    worst = max(worst, float(np.abs(induced_metric(q, H, H) - g).max()))
+                    misses.append(float(np.abs(induced_metric(q, T, T) - g).max()))
         assert worst <= 1e-8
         assert min(misses) >= 1e-3
         assert max(misses) >= 0.1

@@ -42,7 +42,12 @@ class TestChristoffel:
         assert np.abs(G - np.swapaxes(G, 1, 2)).max() == 0.0
 
     def test_domain_violation(self):
-        ch = ChartMetric(2, lambda p: np.eye(2), lambda p: bool(np.all(p > 0)))
+        def quadrant(p):
+            if not np.all(p > 0):
+                raise ChartBoundaryError(f"point {p} outside the positive quadrant")
+            return np.eye(2)
+
+        ch = ChartMetric(2, quadrant)
         with pytest.raises(ChartBoundaryError):
             christoffel(ch, np.array([1e-6, 0.5]), 1e-4)
 

@@ -1,0 +1,41 @@
+"""Records that hold arrays compare by identity, so == and hash() never raise."""
+
+import numpy as np
+import pytest
+
+from bkgeom import cone, curvature, fdgeom, grading, hermitian, orbits, sasaki
+
+SP = hermitian.HermitianSpace(2)
+
+
+def proposition_report():
+    return cone.verify_curvature_prop(cone.cp_cone_model(2), 1, 1e-4, seed=0)
+
+
+RECORDS = {
+    "SuElement": lambda: hermitian.random_su(0, SP, "rank1"),
+    "CharPoly": lambda: orbits.char_poly(grading.cp_generator(SP)),
+    "CanonicalBasis": lambda: orbits.canonical_basis(grading.cp_generator(SP)),
+    "CurvatureTensor": lambda: curvature.curvature_from_rho(
+        np.zeros((4, 4)), curvature.KaehlerModel(2)),
+    "GradingBasis": lambda: grading.grading_basis(2),
+    "StructureFunctions": lambda: grading.structure_functions(
+        grading.cp_generator(SP), grading.grading_basis(2)),
+    "DistributionFrame": lambda: cone.contact_frame(
+        cone.sigma_sample(cone.cp_cone_model(2), 0)[0], cone.cp_cone_model(2)),
+    "PropositionReport": proposition_report,
+    "PropositionPointReport": lambda: proposition_report().points[0],
+    "SecondFundamentalForm": lambda: fdgeom.second_fundamental_form(
+        fdgeom.euclidean_chart(3), lambda s: np.concatenate([s, [0.0]]), np.zeros(2)),
+    "PipelineReport": lambda: sasaki.cpn_pipeline(1, samples=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_equality_is_identity(name):
+    x, y = RECORDS[name](), RECORDS[name]()
+    assert type(x).__name__ == name
+    assert x == x
+    assert not x == y
+    assert isinstance(hash(x), int)
+    assert len({x, y}) == 2

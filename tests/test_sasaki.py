@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bkgeom.curvature import KaehlerModel
-from bkgeom.fdgeom import cone_metric_chart, riemann, sectional
+from bkgeom.fdgeom import central_partials, christoffel, cone_metric_chart, riemann, sectional
 from bkgeom.sasaki import (
     SasakiData,
     cone_relation_residual,
@@ -19,6 +19,72 @@ from bkgeom.sasaki import (
 from bkgeom.fdgeom import euclidean_chart
 
 P3 = np.array([0.2, -0.1, 0.3])
+
+
+def loop_identity_residual(data, p, step):
+    """The Sasaki identity residual as a loop over (i, k), on the raised tensor."""
+    chart, g, xv = data.chart, data.chart.at(p), np.asarray(data.xi(p))
+    Gamma = christoffel(chart, p, step)
+    dGamma = central_partials(lambda q: christoffel(chart, q, step), p, step)
+    Rup = (np.einsum("iljk->lijk", dGamma) - np.einsum("jlik->lijk", dGamma)
+           + np.einsum("lim,mjk->lijk", Gamma, Gamma)
+           - np.einsum("ljm,mik->lijk", Gamma, Gamma))
+    Rxi = np.einsum("lijk,j->lik", Rup, xv)   # R(e_i, xi) e_k
+    eye = np.eye(chart.dim)
+    resid = 0.0
+    for i in range(chart.dim):
+        for k in range(chart.dim):
+            diff = Rxi[:, i, k] - (float(xv @ g @ eye[k]) * eye[i]
+                                   - float(eye[i] @ g @ eye[k]) * xv)
+            resid = max(resid, float(np.sqrt(diff @ g @ diff)))
+    return resid
+
+
+def loop_nabla_j_residual(data, p, step):
+    """The transversal (nabla_X J) Y residual as a loop over hyperplane pairs (a, b)."""
+    g, xv = data.chart.at(p), np.asarray(data.xi(p))
+
+    def J_at(q):
+        nab = (central_partials(data.xi, q, step).T
+               + np.einsum("kim,m->ki", christoffel(data.chart, q, step), data.xi(q)))
+        return -nab
+
+    J = J_at(p)
+    D = np.linalg.svd((g @ xv)[None, :])[2][1:].T
+    Gam = christoffel(data.chart, p, step)
+    resid = 0.0
+    for a in range(D.shape[1]):
+        X = D[:, a]
+        J_plus, J_minus = J_at(p + step * X), J_at(p - step * X)
+        for b in range(D.shape[1]):
+            Y = D[:, b]
+            diff = ((J_plus @ Y - J_minus @ Y) / (2.0 * step)
+                    + np.einsum("kim,i,m->k", Gam, X, J @ Y)
+                    - J @ np.einsum("kim,i,m->k", Gam, X, Y))
+            diff = diff - xv * float(diff @ g @ xv) / float(xv @ g @ xv)
+            resid = max(resid, float(np.sqrt(diff @ g @ diff)))
+    return resid
+
+
+LOOP_REFERENCE_CASES = {
+    "hopf": lambda: hopf_sphere(3, 1.0),
+    "radius2": lambda: hopf_sphere(3, 2.0),
+    "ellipsoid": lambda: SasakiData(ellipsoid_chart(np.array([1.0, 1.3, 1.6, 0.8])),
+                                    hopf_field(3, 1.0)),
+    "flat_constant": lambda: SasakiData(euclidean_chart(3), lambda p: np.array([1.0, 0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_REFERENCE_CASES))
+def test_tensor_residuals_match_loop_references(case):
+    data = LOOP_REFERENCE_CASES[case]()
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        p = rng.uniform(-0.6, 0.6, 3)
+        assert abs(sasaki_residual(data, p, 1e-4).identity_residual
+                   - loop_identity_residual(data, p, 1e-4)) <= 1e-11
+        assert abs(transversal_J(data, p, 1e-4)[1].nabla_j_residual
+                   - loop_nabla_j_residual(data, p, 1e-4)) <= 1e-11
 
 
 class TestHopfSphere:
