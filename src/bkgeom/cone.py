@@ -152,10 +152,9 @@ class ConeModel:
             return self
         return ConeModel(-self.lambdas, sigma_sign=-1)
 
-    def generator(self, space: HermitianSpace | None = None) -> SuElement:
-        space = space or HermitianSpace(self.n)
+    def generator(self) -> SuElement:
         diag = np.concatenate([1j * self.lambdas, [-1j * self.sigma]])
-        return su_element(np.diag(diag), space)
+        return su_element(np.diag(diag), HermitianSpace(self.n))
 
     def act(self, X) -> np.ndarray:
         return self.action @ np.asarray(X, dtype=complex)
@@ -180,17 +179,17 @@ def random_type1_cone_model(n: int, seed: int) -> ConeModel:
 # -- cone representatives ------------------------------------------------------
 
 
-def cone_rep(y, space: HermitianSpace, tol: float = 1e-10) -> np.ndarray:
+def cone_rep(y, space: HermitianSpace) -> np.ndarray:
     """S^1-orbit representative of a null vector: last coordinate real positive.
 
     Returns the C^n truncation x with lift (x, ||x||).
     """
     y = np.asarray(y, dtype=complex)
     hy = space.herm(y, y)
-    if abs(hy) > tol * max(1.0, float(np.vdot(y, y).real)):
+    if abs(hy) > 1e-10 * max(1.0, float(np.vdot(y, y).real)):
         raise ValueError("cone representatives require a null vector")
     last = y[-1]
-    if abs(last) < tol:
+    if abs(last) < 1e-10:
         raise ValueError("null vector with vanishing last coordinate")
     return (y / (last / abs(last)))[:-1]
 
@@ -208,11 +207,11 @@ def sphere_proj(x) -> np.ndarray:
     return x / nx
 
 
-def group_action(G, x, tol: float = 1e-9) -> np.ndarray:
+def group_action(G, x) -> np.ndarray:
     """U(n) action on the cone: x -> det(G) G x."""
     G = np.asarray(G, dtype=complex)
     resid = np.linalg.norm(G.conj().T @ G - np.eye(G.shape[0]))
-    if resid > tol * max(1.0, np.linalg.norm(G)):
+    if resid > 1e-9 * max(1.0, np.linalg.norm(G)):
         raise ValueError(f"matrix is not unitary (residual {resid:.3e})")
     return np.linalg.det(G) * (G @ np.asarray(x, dtype=complex))
 
@@ -330,8 +329,7 @@ def _distribution_normals(p, model: ConeModel) -> np.ndarray:
     return N / lengths
 
 
-def contact_frame(p, model: ConeModel, preset=None,
-                  tol: float = 1e-9) -> DistributionFrame:
+def contact_frame(p, model: ConeModel, preset=None) -> DistributionFrame:
     """Build a J_M-adapted induced-metric-orthonormal frame of D_p.
 
     `preset` may hold already-built frame columns (ordered as in
@@ -387,7 +385,7 @@ def contact_frame(p, model: ConeModel, preset=None,
     G = frame.metric_gram()
     JF = frame.matrix_of(lambda X: j_m(p, X, model))
     J0 = KaehlerModel(n - 1).J
-    if (np.abs(G - np.eye(frame.count)).max() > tol
+    if (np.abs(G - np.eye(frame.count)).max() > 1e-9
             or np.abs(JF - J0).max() > 1e-6):
         raise ChartFailureError("frame failed orthonormality or J-adaptation checks")
     return frame
@@ -488,21 +486,16 @@ class PropositionReport:
         }
 
 
-def verify_curvature_prop(model: ConeModel, sample_points=6, fd_step: float = 1e-4,
+def verify_curvature_prop(model: ConeModel, sample_points: int = 6, fd_step: float = 1e-4,
                           seed: int = 0) -> PropositionReport:
     """Finite-difference curvature of the quotient chart vs the rho template.
 
-    sample_points may be an integer (seeded sampling on Sigma) or an
-    explicit list of section points.  Each report entry carries the
-    relative residual of the matched template and of the half-coefficient
-    negative control.
+    The sample_points section points are drawn by seeded sampling on Sigma.
+    Each report entry carries the relative residual of the matched template
+    and of the half-coefficient negative control.
     """
-    if isinstance(sample_points, int):
-        pts = sigma_sample(model, seed, sample_points)
-    else:
-        pts = [np.asarray(q, dtype=complex) for q in sample_points]
     reports = []
-    for p in pts:
+    for p in sigma_sample(model, seed, sample_points):
         frame = contact_frame(p, model)
         chart = quotient_chart(frame)
         R_fd = riemann(chart, np.zeros(frame.count), fd_step)

@@ -258,11 +258,11 @@ def fit_rho(R: CurvatureTensor, model: KaehlerModel | None = None):
     return rho, resid
 
 
-def rho_map_rank(model: KaehlerModel, rtol: float = 1e-8) -> tuple[int, int]:
+def rho_map_rank(model: KaehlerModel) -> tuple[int, int]:
     """(numerical rank, expected rank n^2) of the linear map rho -> R_rho."""
     basis, A = _rho_design(model.n)
     s = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > 1e-8 * s[0]))
     return rank, len(basis)
 
 
@@ -277,8 +277,7 @@ class DirectionFlatReport:
     conclusion_flat: bool
 
 
-def direction_flat_check(rho, X0, model: KaehlerModel,
-                         tol: float = 1e-10) -> DirectionFlatReport:
+def direction_flat_check(rho, X0, model: KaehlerModel) -> DirectionFlatReport:
     """Evaluate R_rho(X0, JX0) and the kernel of the direction-evaluation map.
 
     The kernel dimension is computed from the matrix whose columns are the
@@ -299,5 +298,5 @@ def direction_flat_check(rho, X0, model: KaehlerModel,
     kernel_dim = len(basis) - int(np.sum(s > 1e-8 * s[0]))
     dn = float(np.linalg.norm(E))
     rn = float(np.linalg.norm(np.asarray(rho, dtype=float)))
-    holds = dn <= tol * max(1.0, rn)
+    holds = dn <= 1e-10 * max(1.0, rn)
     return DirectionFlatReport(dn, rn, kernel_dim, holds, holds and kernel_dim == 0)

@@ -190,8 +190,7 @@ def assemble(rho, u, f, basis: GradingBasis) -> np.ndarray:
             + basis.embed_g1(u) + 0.5 * float(f) * basis.e_plus2)
 
 
-def structure_functions(A: SuElement, basis: GradingBasis | None = None,
-                        tol: float = DEFAULT_TOL) -> StructureFunctions:
+def structure_functions(A: SuElement, basis: GradingBasis | None = None) -> StructureFunctions:
     """Extract (rho, u, f) after normalizing the g^-2 coefficient to 1/2.
 
     If the g^-2 part of A is c * e_minus2 with c != 0, A is rescaled by
@@ -206,7 +205,7 @@ def structure_functions(A: SuElement, basis: GradingBasis | None = None,
     M = A.matrix
     scale_ref = max(1.0, float(np.linalg.norm(M)))
     c = basis.line_coefficient(M, -2)
-    if abs(c) <= tol * scale_ref:
+    if abs(c) <= DEFAULT_TOL * scale_ref:
         raise NormalizationError(c)
     s = 1.0 / (2.0 * c)
     Mn = s * M

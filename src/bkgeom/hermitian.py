@@ -39,6 +39,9 @@ _PROFILES = (
     "jordan3",
     "split-real",
 )
+# least distance between the imaginary parts of a constructed profile's
+# distinct eigenvalues, so classification at desk tolerances has margin
+_MIN_GAP = 0.25
 
 
 class HermitianSpaceError(ValueError):
@@ -179,7 +182,7 @@ def su_project(A, space: HermitianSpace) -> np.ndarray:
     return S - (np.trace(S) / space.dim) * np.eye(space.dim)
 
 
-def wedge_j(x, space: HermitianSpace, tol: float = DEFAULT_TOL) -> np.ndarray:
+def wedge_j(x, space: HermitianSpace) -> np.ndarray:
     """The equivariant rank-one map x |-> x ^ Jx.
 
     (x ^ Jx) z = g(x,z) Jx - g(Jx,z) x, which collapses to
@@ -193,17 +196,16 @@ def wedge_j(x, space: HermitianSpace, tol: float = DEFAULT_TOL) -> np.ndarray:
     return 1j * np.outer(x, H @ x.conj())
 
 
-def group_conjugator(rng: np.random.Generator, space: HermitianSpace,
-                     scale: float = 0.7) -> np.ndarray:
+def group_conjugator(rng: np.random.Generator, space: HermitianSpace) -> np.ndarray:
     """A pseudo-random element of SU(n,1) with controlled conditioning.
 
-    exp of a norm-`scale` su(n,1) element; determinant is exactly 1 in
+    exp of a norm-0.7 su(n,1) element; determinant is exactly 1 in
     exact arithmetic since the generator is traceless.
     """
     d = space.dim
     X = su_project(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
                    space)
-    X *= scale / max(np.linalg.norm(X), 1e-30)
+    X *= 0.7 / max(np.linalg.norm(X), 1e-30)
     return scipy.linalg.expm(X)
 
 
@@ -211,18 +213,16 @@ class _Redraw(Exception):
     """The seeded draw jammed or its derived eigenvalue collided; draw again."""
 
 
-def _separated_values(rng: np.random.Generator, count: int, taken=(),
-                      lo: float = -1.5, hi: float = 1.5,
-                      min_sep: float = 0.25) -> list[float]:
-    # rejection sampling; deterministic for a fixed generator state
+def _separated_values(rng: np.random.Generator, count: int, taken=()) -> list[float]:
+    # rejection sampling on [-1.5, 1.5]; deterministic for a fixed generator state
     vals: list[float] = []
     guard = 0
     while len(vals) < count:
         guard += 1
         if guard > 10000:
             raise _Redraw
-        c = float(rng.uniform(lo, hi))
-        if all(abs(c - v) >= min_sep for v in list(taken) + vals):
+        c = float(rng.uniform(-1.5, 1.5))
+        if all(abs(c - v) >= _MIN_GAP for v in list(taken) + vals):
             vals.append(c)
     return vals
 
@@ -251,15 +251,15 @@ def _basis_with(space: HermitianSpace, special: list[np.ndarray],
     return np.array(cols, dtype=complex).T
 
 
-def _from_canonical(space, basis, canon, rng, tol):
+def _from_canonical(space, basis, canon, rng):
     A = basis @ canon @ np.linalg.inv(basis)
     G = group_conjugator(rng, space)
     A = G @ A @ np.linalg.inv(G)
-    return su_element(su_project(A, space), space, tol)
+    return su_element(su_project(A, space), space)
 
 
 def random_su(seed: int, space: HermitianSpace, profile: str = "generic",
-              tol: float = DEFAULT_TOL, epsilon: int = 1) -> SuElement:
+              epsilon: int = 1) -> SuElement:
     """Deterministic pseudo-random su(n,1) elements, by spectral profile.
 
     profile:
@@ -279,34 +279,34 @@ def random_su(seed: int, space: HermitianSpace, profile: str = "generic",
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     try:
-        return _draw(np.random.default_rng(seed), space, profile, tol, epsilon)
+        return _draw(np.random.default_rng(seed), space, profile, epsilon)
     except _Redraw:
-        return random_su(seed + 90001, space, profile, tol, epsilon)
+        return random_su(seed + 90001, space, profile, epsilon)
 
 
 def _draw(rng: np.random.Generator, space: HermitianSpace, profile: str,
-          tol: float, epsilon: int) -> SuElement:
+          epsilon: int) -> SuElement:
     d = space.dim
 
     if profile == "generic":
         A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return su_element(su_project(A, space), space, tol)
+        return su_element(su_project(A, space), space)
 
     if profile == "diagonal-imaginary":
         lam = _separated_values(rng, space.n)
         last = -sum(lam)
-        if any(abs(last - v) < 0.25 for v in lam):
+        if any(abs(last - v) < _MIN_GAP for v in lam):
             raise _Redraw
         diag = np.diag(1j * np.array(lam + [last]))
         G = group_conjugator(rng, space)
         A = G @ diag @ np.linalg.inv(G)
-        return su_element(su_project(A, space), space, tol)
+        return su_element(su_project(A, space), space)
 
     if profile == "rank1":
         v = rng.standard_normal(space.n) + 1j * rng.standard_normal(space.n)
         v /= np.linalg.norm(v)
         x = np.concatenate([v, [np.linalg.norm(v)]])  # null: (v, ||v||)
-        return su_element(wedge_j(x, space), space, tol)
+        return su_element(wedge_j(x, space), space)
 
     if profile == "jordan2":
         if epsilon not in (1, -1):
@@ -317,7 +317,7 @@ def _draw(rng: np.random.Generator, space: HermitianSpace, profile: str,
             lam1 = _separated_values(rng, 1)[0]
             singles = _separated_values(rng, space.n - 2, taken=[lam1])
             last = -2.0 * lam1 - sum(singles)
-            if any(abs(last - v) < 0.25 for v in singles + [lam1]):
+            if any(abs(last - v) < _MIN_GAP for v in singles + [lam1]):
                 raise _Redraw
             others = singles + [last]
         npl, nmi = _null_pair(space)
@@ -326,7 +326,7 @@ def _draw(rng: np.random.Generator, space: HermitianSpace, profile: str,
         basis = _basis_with(space, [e1, e2], skip=(0, d - 1))
         canon = np.diag(1j * np.array([lam1, lam1] + others))
         canon[0, 1] = 1.0
-        return _from_canonical(space, basis, canon, rng, tol)
+        return _from_canonical(space, basis, canon, rng)
 
     if profile == "jordan3":
         if space.n < 2:
@@ -337,7 +337,7 @@ def _draw(rng: np.random.Generator, space: HermitianSpace, profile: str,
             lam1 = _separated_values(rng, 1)[0]
             singles = _separated_values(rng, space.n - 3, taken=[lam1])
         last = -3.0 * lam1 - sum(singles)
-        if space.n > 2 and any(abs(last - v) < 0.25 for v in singles + [lam1]):
+        if space.n > 2 and any(abs(last - v) < _MIN_GAP for v in singles + [lam1]):
             raise _Redraw
         if space.n == 2:
             spectrum = [0.0, 0.0, 0.0]
@@ -352,7 +352,7 @@ def _draw(rng: np.random.Generator, space: HermitianSpace, profile: str,
         canon = np.diag(1j * np.array(spectrum))
         canon[0, 1] = 1.0
         canon[1, 2] = 1.0
-        return _from_canonical(space, basis, canon, rng, tol)
+        return _from_canonical(space, basis, canon, rng)
 
     # split-real: eigenvalue pair (a+ib, -a+ib) on a null plane, rest imaginary
     a = float(rng.uniform(0.3, 1.2)) * (1 if rng.uniform() < 0.5 else -1)
@@ -362,7 +362,7 @@ def _draw(rng: np.random.Generator, space: HermitianSpace, profile: str,
         b = _separated_values(rng, 1)[0]
         singles = _separated_values(rng, space.n - 2, taken=[b])
         last = -2.0 * b - sum(singles)
-        if any(abs(last - v) < 0.25 for v in singles):
+        if any(abs(last - v) < _MIN_GAP for v in singles):
             raise _Redraw
         imag = singles + [last]
     npl, nmi = _null_pair(space)
@@ -371,4 +371,4 @@ def _draw(rng: np.random.Generator, space: HermitianSpace, profile: str,
     basis = _basis_with(space, [e1, e2], skip=(0, d - 1))
     canon = np.diag(np.concatenate([[a + 1j * b, -a + 1j * b],
                                     1j * np.array(imag)]))
-    return _from_canonical(space, basis, canon, rng, tol)
+    return _from_canonical(space, basis, canon, rng)

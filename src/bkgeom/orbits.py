@@ -23,6 +23,10 @@ defective triple eigenvalue at double precision), and all rank decisions
 are made on singular values of (A - lam)^k.  A rank decision falling
 within a factor of 10 of its threshold raises IllConditionedError rather
 than guessing.
+
+Canonical bases share one construction: an h-indefinite A-invariant head per
+type, then the h-orthonormal complement of its span, on which A lies in u(k)
+and is diagonalized.
 """
 
 from __future__ import annotations
@@ -75,26 +79,12 @@ def _matrix_scale(A: np.ndarray) -> float:
 
 
 def _cluster(values: np.ndarray, thr: float) -> list[list[int]]:
-    # single linkage by union-find; desk sizes make O(k^2) irrelevant
-    k = len(values)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(values[i] - values[j]) < thr:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    """Single-linkage groups, ordered by smallest member: the transitive closure
+    of |w_i - w_j| < thr, by squarings that each double the path length reached."""
+    reach = np.abs(values[:, None] - values[None, :]) < thr
+    for _ in range(len(values).bit_length()):
+        reach = reach @ reach
+    return [np.flatnonzero(row).tolist() for i, row in enumerate(reach) if row.argmax() == i]
 
 
 def _nullity(M: np.ndarray, thr: float) -> int:
@@ -313,7 +303,7 @@ def _eval_factored(rho, u, f, t, shifted: bool, ambient: int):
     return detP * quad + corr
 
 
-def char_poly(A: SuElement, tol: float = 1e-10) -> CharPoly:
+def char_poly(A: SuElement) -> CharPoly:
     """det(A - tI) as ground truth (returned monic); the factorization
     cross-checks are left to the first read of a residual."""
     w = np.linalg.eigvals(A.matrix)
@@ -340,21 +330,16 @@ class CanonicalBasis:
 
 
 def _orthonormal_complement(space: HermitianSpace, spanned: list[np.ndarray],
-                            matrix: np.ndarray, tol: float):
+                            matrix: np.ndarray):
     """h-orthocomplement of the span, h-orthonormalized, with A diagonalized on it.
 
     The complement of an A-invariant span is A-invariant and h-positive
     definite here, so A restricts to a skew-hermitian endomorphism with a
-    unitary eigenbasis.
+    unitary eigenbasis, returned in ascending order of Im(eigenvalue).
     """
     H = space.form_matrix
-    if not spanned:
-        W = np.eye(space.dim, dtype=complex)
-    else:
-        rows = np.array([v.conj() @ H for v in spanned])
-        W = _null_basis(rows, 1e-12 * max(1.0, np.linalg.norm(rows)))
-    if W.shape[1] == 0:
-        return W, np.array([])
+    rows = np.array([v.conj() @ H for v in spanned])
+    W = _null_basis(rows, 1e-12 * max(1.0, np.linalg.norm(rows)))
     G = W.conj().T @ H @ W
     vals, U = np.linalg.eigh(G)
     if np.any(vals <= 0):
@@ -366,11 +351,20 @@ def _orthonormal_complement(space: HermitianSpace, spanned: list[np.ndarray],
     return Wo @ V[:, order], 1j * ev[order]
 
 
+def _eigenvectors(M: np.ndarray, lam: complex, tol: float) -> np.ndarray:
+    """Basis of ker(M - lam) at the threshold tol * max(1, ||M - lam||_2)."""
+    B = M - lam * np.eye(M.shape[0])
+    return _null_basis(B, tol * _matrix_scale(B))
+
+
 def canonical_basis(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> CanonicalBasis:
     """Explicit basis realizing the canonical form of A's orbit type.
 
-    Column Gram targets (Gram[i,j] = h(b_i, b_j)):
-      type 1: diag(1,...,1,-1) with the negative-norm vector last
+    The basis is the type's h-indefinite head (the negative-norm eigenvector,
+    the Jordan chain, or the null eigenvector pair) followed by the
+    diagonalizing h-orthonormal complement.  Column Gram targets
+    (Gram[i,j] = h(b_i, b_j)):
+      type 1: diag(1,...,1,-1), the head rotated to the last column
       type 2: [[0, eps i], [-eps i, 0]] in the chain block, identity after
       type 3: antidiag(-1) with middle 1 in the chain block, identity after
       type 4: [[0, 1], [1, 0]] on the null eigenvector pair, identity after
@@ -382,46 +376,28 @@ def canonical_basis(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> Canonica
     H = space.form_matrix
 
     if orbit.tag == "1":
-        pos_vecs, pos_vals, neg_vec, neg_val = [], [], None, None
+        head = None
         for c in es.clusters:
-            B = M - c.eigenvalue * np.eye(d)
-            K = _null_basis(B, tol * _matrix_scale(B))
+            K = _eigenvectors(M, c.eigenvalue, tol)
             if K.shape[1] != c.multiplicity:
                 raise IllConditionedError("eigenspace dimension mismatch")
-            G = K.conj().T @ H @ K
-            vals, U = np.linalg.eigh(G)
-            V = K @ U / np.sqrt(np.abs(vals))[None, :]
-            for j, v in enumerate(vals):
-                if v > 0:
-                    pos_vecs.append(V[:, j])
-                    pos_vals.append(c.eigenvalue)
-                else:
-                    neg_vec, neg_val = V[:, j], c.eigenvalue
-        if neg_vec is None:
+            vals, U = np.linalg.eigh(K.conj().T @ H @ K)
+            if vals[0] < 0:
+                head, head_canon = [K @ U[:, 0] / np.sqrt(-vals[0])], [[c.eigenvalue]]
+        if head is None:
             raise IllConditionedError("no negative-norm eigenvector found")
-        basis = np.array(pos_vecs + [neg_vec]).T
-        canon = np.diag(np.array(pos_vals + [neg_val]))
-        gram = np.eye(d, dtype=complex)
-        gram[d - 1, d - 1] = -1.0
+        head_gram = [[-1.0]]
 
     elif orbit.tag in ("2a", "2b"):
         lam, eps = orbit.invariant_data
         e, f = _jordan_chain(M, lam, 2, tol)
-        t = space.herm(e, f).imag
-        a = 1.0 / np.sqrt(abs(t))
+        a = 1.0 / np.sqrt(abs(space.herm(e, f).imag))
         e, f = a * e, a * f
-        f = f + (1j * space.herm(f, f).real / (2.0 * eps)) * e
-        Wo, ev = _orthonormal_complement(space, [e, f], M, tol)
-        basis = np.column_stack([e, f, Wo])
-        canon = np.zeros((d, d), dtype=complex)
-        canon[0, 0] = canon[1, 1] = lam
-        canon[0, 1] = 1.0
-        for j, v in enumerate(ev):
-            canon[2 + j, 2 + j] = v
-        gram = np.eye(d, dtype=complex)
+        head = [e, f + (1j * space.herm(f, f).real / (2.0 * eps)) * e]
+        head_canon = [[lam, 1.0], [0.0, lam]]
         # stored as B^H H B, whose (i, j) entry is h(b_j, b_i): h(e, f) = eps*i
         # sits at (1, 0)
-        gram[:2, :2] = [[0.0, -eps * 1j], [eps * 1j, 0.0]]
+        head_gram = [[0.0, -eps * 1j], [eps * 1j, 0.0]]
 
     elif orbit.tag == "3":
         (lam,) = orbit.invariant_data
@@ -434,38 +410,32 @@ def canonical_basis(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> Canonica
         a = 1.0 / np.sqrt(p)
         b = 1j * a * s / (2.0 * p)
         c = a * (q - 0.75 * s * s / p) / (2.0 * p)
-        g1 = a * f1
-        g2 = a * f2 + b * f1
-        g3 = a * f3 + b * f2 + c * f1
-        Wo, ev = _orthonormal_complement(space, [g1, g2, g3], M, tol)
-        basis = np.column_stack([g1, g2, g3, Wo])
-        canon = np.zeros((d, d), dtype=complex)
-        canon[0, 0] = canon[1, 1] = canon[2, 2] = lam
-        canon[0, 1] = canon[1, 2] = 1.0
-        for j, v in enumerate(ev):
-            canon[3 + j, 3 + j] = v
-        gram = np.eye(d, dtype=complex)
-        gram[:3, :3] = [[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
+        head = [a * f1, a * f2 + b * f1, a * f3 + b * f2 + c * f1]
+        head_canon = [[lam, 1.0, 0.0], [0.0, lam, 1.0], [0.0, 0.0, lam]]
+        head_gram = [[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
 
     else:  # type 4
         lam, mu = orbit.invariant_data
-        Bx = M - lam * np.eye(d)
-        By = M - mu * np.eye(d)
-        x = _null_basis(Bx, tol * _matrix_scale(Bx))[:, 0]
-        y = _null_basis(By, tol * _matrix_scale(By))[:, 0]
+        x = _eigenvectors(M, lam, tol)[:, 0]
+        y = _eigenvectors(M, mu, tol)[:, 0]
         hxy = space.herm(x, y)
         if abs(hxy) < tol:
             raise IllConditionedError("null eigenvectors pair degenerately")
-        y = y * np.conj(1.0 / hxy)
-        Wo, ev = _orthonormal_complement(space, [x, y], M, tol)
-        basis = np.column_stack([x, y, Wo])
-        canon = np.zeros((d, d), dtype=complex)
-        canon[0, 0] = lam
-        canon[1, 1] = mu
-        for j, v in enumerate(ev):
-            canon[2 + j, 2 + j] = v
-        gram = np.eye(d, dtype=complex)
-        gram[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+        head = [x, y * np.conj(1.0 / hxy)]
+        head_canon = [[lam, 0.0], [0.0, mu]]
+        head_gram = [[0.0, 1.0], [1.0, 0.0]]
+
+    Wo, ev = _orthonormal_complement(space, head, M)
+    k = len(head)
+    basis = np.column_stack(head + [Wo])
+    canon = np.diag(np.concatenate([np.zeros(k), ev]))
+    canon[:k, :k] = head_canon
+    gram = np.eye(d, dtype=complex)
+    gram[:k, :k] = head_gram
+    if orbit.tag == "1":
+        # the timelike column goes last, so the Gram target is diag(1, ..., 1, -1)
+        order = np.roll(np.arange(d), -k)
+        basis, canon, gram = basis[:, order], canon[order][:, order], gram[order][:, order]
 
     resid_c = float(np.linalg.norm(np.linalg.solve(basis, M @ basis) - canon) / es.scale)
     resid_g = float(np.linalg.norm(basis.conj().T @ H @ basis - gram))

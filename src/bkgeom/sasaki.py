@@ -199,10 +199,10 @@ def transversal_J(data: SasakiData, p, step: float = 1e-4):
 # -- projective quotient chart -------------------------------------------------
 
 
-def cpn_quotient_chart(n: int, radius: float = 1.0) -> ChartMetric:
-    """Riemannian submersion metric of S^(2n+1)(radius) / circle action.
+def cpn_quotient_chart(n: int) -> ChartMetric:
+    """Riemannian submersion metric of the unit S^(2n+1) / circle action.
 
-    Affine chart w in C^n |-> z = radius * (w, 1)/|(w, 1)|; tangent vectors
+    Affine chart w in C^n |-> z = (w, 1)/|(w, 1)|; tangent vectors
     are lifted, projected onto the horizontal space {z, iz}^perp and paired
     with the ambient metric.  Real coordinates stack Re(w) over Im(w).
     The 2n coordinate directions are one (n+1, 2n) column block, and the
@@ -215,12 +215,12 @@ def cpn_quotient_chart(n: int, radius: float = 1.0) -> ChartMetric:
         w = p[:n] + 1j * p[n:]
         zl = np.concatenate([w, [1.0]])
         nz = np.linalg.norm(zl)
-        z = radius * zl / nz
+        z = zl / nz
         # differential of the normalized lift applied to the coordinate directions
-        dz = radius * (dzl / nz - np.outer(zl, flat_inner(zl, dzl)) / nz ** 3)
+        dz = dzl / nz - np.outer(zl, flat_inner(zl, dzl)) / nz ** 3
         # horizontal projection: remove components along z and iz
-        dz = dz - np.outer(z, flat_inner(z, dz)) / radius ** 2
-        dz = dz - np.outer(1j * z, flat_inner(1j * z, dz)) / radius ** 2
+        dz = dz - np.outer(z, flat_inner(z, dz))
+        dz = dz - np.outer(1j * z, flat_inner(1j * z, dz))
         return flat_inner(dz, dz)
 
     return ChartMetric(2 * n, ev)
@@ -287,7 +287,7 @@ def cpn_pipeline(n: int, fd_step: float = 1e-4, seed: int = 0,
         flat = max(flat, float(np.abs(Rc).max()))
         relation = max(relation, cone_relation_residual(data.chart, x, fd_step))
 
-    chart = cpn_quotient_chart(n, 1.0)
+    chart = cpn_quotient_chart(n)
     J0 = KaehlerModel(n).J   # in the affine chart the complex structure is the coordinate one
     ks = []
     for _ in range(max(samples, 3)):

@@ -148,19 +148,19 @@ def sp_square(x) -> np.ndarray:
     return 2.0 * np.outer(x, J0 @ x)
 
 
-def is_sp(M, tol: float = 1e-10) -> bool:
+def is_sp(M) -> bool:
     M = np.asarray(M, dtype=float)
     O = KaehlerModel(M.shape[0] // 2).J.T
-    return np.linalg.norm(M.T @ O + O @ M) <= tol * max(1.0, np.linalg.norm(M))
+    return np.linalg.norm(M.T @ O + O @ M) <= 1e-10 * max(1.0, np.linalg.norm(M))
 
 
-def random_sp(rng: np.random.Generator, m: int, scale: float = 0.6) -> np.ndarray:
-    """exp of a random sp(k, R) element (sp = Omega * symmetric)."""
+def random_sp(rng: np.random.Generator, m: int) -> np.ndarray:
+    """exp of a norm-0.6 random sp(k, R) element (sp = Omega * symmetric)."""
     O = KaehlerModel(m // 2).J.T
     H = rng.standard_normal((m, m))
     H = 0.5 * (H + H.T)
     X = O @ H
-    X *= scale / max(np.linalg.norm(X), 1e-30)
+    X *= 0.6 / max(np.linalg.norm(X), 1e-30)
     return scipy.linalg.expm(X)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bkgeom import grading, orbits
@@ -262,6 +262,42 @@ class TestOneEigenAnalysis:
         assert len(calls) == 1
 
 
+def union_find_clusters(values, thr):
+    """Reference single linkage by union-find, independent of the closure in _cluster."""
+    k = len(values)
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            if abs(values[i] - values[j]) < thr:
+                pi, pj = find(i), find(j)
+                if pi != pj:
+                    parent[pi] = pj
+    groups: dict[int, list[int]] = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(thr=st.sampled_from([1e-8, 0.1, 0.25, 1.0]),
+       steps=st.lists(st.tuples(st.integers(-4, 4), st.integers(-2, 2),
+                                st.sampled_from([0.0, 1e-12, -1e-12, 0.5])),
+                      min_size=1, max_size=9))
+@example(thr=1.0, steps=[(r, 0, 0.0) for r in (3, -4, 0, 2, -2, 4, -1, 1, -3)])  # an 8-link chain
+def test_cluster_matches_union_find(thr, steps):
+    # neighbouring grid points link, points two steps apart sit exactly on
+    # the threshold, and the 1e-12 jitter moves pairs just inside or outside it
+    values = np.array([thr * (0.5 * re + jit + 0.5j * im) for re, im, jit in steps])
+    assert orbits._cluster(values, thr) == union_find_clusters(values, thr)
+
+
 class TestCanonicalBasis:
     @pytest.mark.parametrize("profile", sorted(EXPECTED_TAG))
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -300,3 +336,16 @@ class TestCanonicalBasis:
         assert G[0, 2] == pytest.approx(-1.0, abs=1e-8)
         assert G[1, 1] == pytest.approx(1.0, abs=1e-8)
         assert abs(G[0, 0]) < 1e-8 and abs(G[2, 2]) < 1e-8
+
+    @pytest.mark.parametrize("spectrum", [(1.0, -2.0, 1.0), (1.0, 1.0, -1.5, -1.5, 1.0)])
+    def test_type1_timelike_in_repeated_eigenvalue(self, spectrum):
+        # the negative-norm eigenvector shares its eigenvalue with a positive one
+        n = len(spectrum) - 1
+        sp = HermitianSpace(n)
+        A = conjugated(su_element(np.diag(1j * np.array(spectrum)), sp), 3)
+        cb = canonical_basis(A)
+        assert cb.orbit.tag == "1"
+        assert cb.conjugation_residual < 1e-8
+        assert cb.gram_residual < 1e-8
+        assert np.array_equal(cb.gram_target, np.diag([1.0] * n + [-1.0]))
+        assert cb.canonical[n, n] == pytest.approx(1j * spectrum[n], abs=1e-8)

@@ -137,7 +137,7 @@ class TestTransversalJ:
 class TestQuotientChart:
     def test_fubini_study_constant_four(self):
         for n in (1, 2):
-            chart = cpn_quotient_chart(n, 1.0)
+            chart = cpn_quotient_chart(n)
             J0 = KaehlerModel(n).J   # the affine chart's complex structure
             rng = np.random.default_rng(n)
             for _ in range(3):
