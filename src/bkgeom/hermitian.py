@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 
 DEFAULT_TOL = 1e-10
@@ -196,17 +195,29 @@ def wedge_j(x, space: HermitianSpace) -> np.ndarray:
     return 1j * np.outer(x, H @ x.conj())
 
 
-def group_conjugator(rng: np.random.Generator, space: HermitianSpace) -> np.ndarray:
-    """A pseudo-random element of SU(n,1) with controlled conditioning.
+def cayley(X) -> np.ndarray:
+    """The Cayley map X |-> (I - X/2)^-1 (I + X/2).
 
-    exp of a norm-0.7 su(n,1) element; determinant is exactly 1 in
-    exact arithmetic since the generator is traceless.
+    It takes a Lie algebra preserving a form (u(n,1), sp(2m, R)) into the
+    group preserving the same form, exactly up to roundoff.
+    """
+    X = np.asarray(X)
+    eye = np.eye(X.shape[0])
+    return np.linalg.solve(eye - 0.5 * X, eye + 0.5 * X)
+
+
+def group_conjugator(rng: np.random.Generator, space: HermitianSpace) -> np.ndarray:
+    """A pseudo-random element of U(n,1) with controlled conditioning.
+
+    The Cayley map of a norm-0.7 su(n,1) element.  The spectrum of a
+    u(n,1) element is symmetric under lam |-> -conj(lam), so |det| = 1,
+    which no conjugation can see.
     """
     d = space.dim
     X = su_project(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
                    space)
     X *= 0.7 / max(np.linalg.norm(X), 1e-30)
-    return scipy.linalg.expm(X)
+    return cayley(X)
 
 
 class _Redraw(Exception):
@@ -272,7 +283,7 @@ def random_su(seed: int, space: HermitianSpace, profile: str = "generic",
 
     Constructed profiles draw well-separated eigenvalues so that orbit
     classification at desk tolerances has honest margins, and are
-    conjugated by a random SU(n,1) element before certification.  A draw
+    conjugated by a random U(n,1) element before certification.  A draw
     whose rejection sampler jams, or whose trace-derived eigenvalue
     collides with the others, is redrawn from seed + 90001.
     """

@@ -183,6 +183,11 @@ def classify(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> OrbitType:
 
 def classify_from(A: SuElement, tol: float, es: EigenStructure) -> OrbitType:
     """classify, read off an eigenstructure already built as es = eigenstructure(A, tol)."""
+    return _classify_with_chain(A, tol, es)[0]
+
+
+def _classify_with_chain(A: SuElement, tol: float, es: EigenStructure):
+    """The orbit type, with the Jordan 2-chain (e, f) that fixed a type-2 sign, else None."""
     M = A.matrix
     thr_re = tol * es.scale
 
@@ -203,13 +208,13 @@ def classify_from(A: SuElement, tol: float, es: EigenStructure) -> OrbitType:
             raise IllConditionedError("non-imaginary eigenvalues do not pair as (lam, -conj lam)")
         if lam.real < 0:
             lam, mu = mu, lam
-        return OrbitType("4", None, (lam, mu))
+        return OrbitType("4", None, (lam, mu)), None
 
     big = [c for c in es.clusters if max(c.block_sizes) > 1]
     if not big:
         spectrum = tuple(sorted(
             round(c.eigenvalue.imag, 12) for c in es.clusters for _ in range(c.multiplicity)))
-        return OrbitType("1", None, (spectrum,))
+        return OrbitType("1", None, (spectrum,)), None
 
     if len(big) != 1 or sum(1 for s in big[0].block_sizes if s > 1) != 1:
         raise IllConditionedError("more than one non-trivial Jordan block")
@@ -217,10 +222,10 @@ def classify_from(A: SuElement, tol: float, es: EigenStructure) -> OrbitType:
     top = max(c.block_sizes)
     lam = 1j * c.eigenvalue.imag  # classification already certified Re = 0
     if top == 3:
-        return OrbitType("3", None, (lam,))
+        return OrbitType("3", None, (lam,)), None
     e, f = _jordan_chain(M, lam, 2, tol)
     eps = _epsilon_from_chain(A.space, e, f, tol)
-    return OrbitType("2a" if eps > 0 else "2b", eps, (lam, eps))
+    return OrbitType("2a" if eps > 0 else "2b", eps, (lam, eps)), (e, f)
 
 
 # -- characteristic polynomial ------------------------------------------------
@@ -370,7 +375,7 @@ def canonical_basis(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> Canonica
       type 4: [[0, 1], [1, 0]] on the null eigenvector pair, identity after
     """
     es = eigenstructure(A, tol)
-    orbit = classify_from(A, tol, es)
+    orbit, chain = _classify_with_chain(A, tol, es)
     space, M = A.space, A.matrix
     d = space.dim
     H = space.form_matrix
@@ -390,7 +395,7 @@ def canonical_basis(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> Canonica
 
     elif orbit.tag in ("2a", "2b"):
         lam, eps = orbit.invariant_data
-        e, f = _jordan_chain(M, lam, 2, tol)
+        e, f = chain
         a = 1.0 / np.sqrt(abs(space.herm(e, f).imag))
         e, f = a * e, a * f
         head = [e, f + (1j * space.herm(f, f).real / (2.0 * eps)) * e]

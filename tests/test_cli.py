@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -12,9 +14,19 @@ from bkgeom.grading import cp_generator
 from bkgeom.hermitian import HermitianSpace, random_su, su_element, su_project
 
 
-def run_cli(*args, **kw):
-    return subprocess.run([sys.executable, "-m", "bkgeom.cli", *args],
-                          capture_output=True, text=True, **kw)
+def run_cli(*args):
+    """cli.main(args) in this process, with its streams and exit code captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:   # usage errors exit from inside argparse
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -115,13 +127,13 @@ class TestClassifyCommand:
         r2 = run_cli("classify", "-m", cp_matrix)
         assert r1.stdout == r2.stdout
 
-    def test_one_eigenstructure_per_report(self, cp_matrix, monkeypatch, capsys):
+    def test_one_eigenstructure_per_report(self, cp_matrix, monkeypatch):
+        plain = run_cli("classify", "-m", cp_matrix).stdout
         calls, real = [], orbits.eigenstructure
         monkeypatch.setattr(orbits, "eigenstructure",
                             lambda *args: calls.append(args) or real(*args))
-        assert main(["classify", "-m", cp_matrix]) == 0
+        assert run_cli("classify", "-m", cp_matrix).stdout == plain
         assert len(calls) == 1
-        assert capsys.readouterr().out == run_cli("classify", "-m", cp_matrix).stdout
 
 
 class TestOtherCommands:
@@ -211,3 +223,25 @@ class TestOtherCommands:
         r = run_cli("classify", "-m", cp_matrix, "--out", str(out))
         assert r.returncode == 0
         assert out.read_text() == r.stdout
+
+
+class TestProcess:
+    """The CLI as a fresh interpreter sees it: one run per exit-code class."""
+
+    @pytest.mark.parametrize("bad_json, extra, code", [
+        (False, (), 0), (False, ("--n", "3"), 2), (True, (), 3)])
+    def test_exit_code_classes(self, cp_matrix, tmp_path, bad_json, extra, code):
+        path = cp_matrix
+        if bad_json:
+            path = tmp_path / "bad.json"
+            path.write_text("{not json")
+        argv = ("classify", "-m", str(path), *extra)
+        r = run_process("-m", "bkgeom.cli", *argv)
+        assert r.returncode == code
+        inproc = run_cli(*argv)
+        assert (inproc.returncode, inproc.stdout, inproc.stderr) == (code, r.stdout, r.stderr)
+
+    def test_import_leaves_scipy_unloaded(self):
+        r = run_process("-c", "import sys, bkgeom.cli; print('scipy' in sys.modules)")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bkgeom import jsonio
 from bkgeom.hermitian import (
@@ -8,6 +10,7 @@ from bkgeom.hermitian import (
     NonFiniteError,
     SuElement,
     SuMembershipError,
+    cayley,
     group_conjugator,
     random_su,
     su_element,
@@ -231,3 +234,21 @@ def test_su_element_scaling_stays_certified():
     A = random_su(0, sp, "generic")
     res = su_element(A.scaled(2.5).matrix, sp)
     assert isinstance(res, SuElement)
+
+
+def _u_n1_defect(G, space):
+    """max of |G^* H G - H| and ||det G| - 1|: zero exactly on U(n,1)."""
+    H = space.form_matrix
+    return max(float(np.abs(G.conj().T @ H @ G - H).max()),
+               abs(abs(np.linalg.det(G)) - 1.0))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_group_conjugator_preserves_the_form(n, seed):
+    sp = HermitianSpace(n)
+    assert _u_n1_defect(group_conjugator(np.random.default_rng(seed), sp), sp) <= 1e-12
+    # control: the same map of a generic complex matrix of the same norm
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((sp.dim, sp.dim)) + 1j * rng.standard_normal((sp.dim, sp.dim))
+    assert _u_n1_defect(cayley(0.7 * X / np.linalg.norm(X)), sp) >= 1e-3

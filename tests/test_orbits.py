@@ -261,6 +261,12 @@ class TestOneEigenAnalysis:
         canonical_basis(random_su(5, HermitianSpace(3), profile))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("profile", sorted(EXPECTED_TAG))
+    def test_canonical_basis_builds_at_most_one_jordan_chain(self, profile, monkeypatch):
+        calls = count_calls(monkeypatch, orbits, "_jordan_chain")
+        canonical_basis(random_su(5, HermitianSpace(3), profile))
+        assert len(calls) == (EXPECTED_TAG[profile] in ("2a", "2b", "3"))
+
 
 def union_find_clusters(values, thr):
     """Reference single linkage by union-find, independent of the closure in _cluster."""

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bkgeom.cone import cp_cone_model, random_type1_cone_model
+from bkgeom.cone import algebra_action, cp_cone_model, random_type1_cone_model
 from bkgeom.grading import cp_generator
-from bkgeom.curvature import KaehlerModel
+from bkgeom.curvature import KaehlerModel, complex_to_real_endo, to_real
 from bkgeom.hermitian import HermitianSpace, SuElement, su_element
 from bkgeom.tower import (
+    _unitary_flow,
     action_agreement_residual,
     duality_action_check,
     embed_cone_point,
@@ -168,43 +170,74 @@ class TestDuality:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("samples, timesteps", [(3, 64), (4, 32)])
     def test_stacked_flows_match_pointwise_reference(self, m, samples, timesteps):
-        # one exponential per (start point, time), as the check is defined;
-        # the stacked trajectories must reproduce it bit for bit
-        from bkgeom.cone import algebra_action
-        from bkgeom.curvature import complex_to_real_endo, to_real
+        # one flow per (start point, time), as the check is defined; the
+        # stacked trajectories must reproduce it bit for bit
+        def at(X, t):
+            return _unitary_flow(X, np.array([t]))[0]
 
-        rng = np.random.default_rng(40 + m)
-        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        a = 0.5 * (a - a.conj().T)
-        twist = algebra_action(a, np.eye(m))
-        M_twist, M_plain = complex_to_real_endo(twist), complex_to_real_endo(a)
-        draw = np.random.default_rng(m)
-        resid_t = resid_u = 0.0
-        for _ in range(samples):
-            x0 = draw.standard_normal(m) + 1j * draw.standard_normal(m)
-            y0 = to_real(x0)
-            for t in np.linspace(0.0, 1.0, timesteps):
-                xc = to_real(scipy.linalg.expm(t * twist) @ x0)
-                yt = scipy.linalg.expm(t * M_twist) @ y0
-                yu = scipy.linalg.expm(t * M_plain) @ y0
-                resid_t = max(resid_t, min(np.linalg.norm(xc - yt), np.linalg.norm(xc + yt)))
-                resid_u = max(resid_u, min(np.linalg.norm(xc - yu), np.linalg.norm(xc + yu)))
-        g = random_sp(draw, 2 * m)
-        equi = 0.0
-        for _ in range(samples):
-            x = draw.standard_normal(2 * m)
-            rhs = g @ sp_square(x) @ np.linalg.inv(g)
-            equi = max(equi, float(np.abs(sp_square(g @ x) - rhs).max()
-                                   / max(1.0, np.abs(rhs).max())))
+        a, ref = _pointwise_duality(m, samples, timesteps, at)
         rep = duality_action_check(a, samples=samples, seed=m, timesteps=timesteps)
-        assert rep.twisted_residual == resid_t
-        assert rep.untwisted_residual == resid_u
-        assert rep.sq_equivariance == equi
+        assert (rep.twisted_residual, rep.untwisted_residual, rep.sq_equivariance) == ref
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("samples, timesteps", [(3, 64), (4, 32)])
+    def test_flows_match_taylor_reference(self, m, samples, timesteps, expm_reference):
+        # every flow, and the residuals built from them, against an
+        # independent exponential of t X
+        a, ref = _pointwise_duality(m, samples, timesteps,
+                                    lambda X, t: expm_reference(t * X))
+        ts = np.linspace(0.0, 1.0, timesteps)
+        for X in _duality_generators(a):
+            want = np.array([expm_reference(t * X) for t in ts])
+            assert np.abs(_unitary_flow(X, ts) - want).max() <= 1e-13
+        rep = duality_action_check(a, samples=samples, seed=m, timesteps=timesteps)
+        assert rep.twisted_residual <= 1e-13 and ref[0] <= 1e-13
+        assert rep.untwisted_residual == pytest.approx(ref[1], rel=1e-12, abs=1e-13)
+        assert rep.sq_equivariance == ref[2]
 
     def test_realified_u_is_sp(self):
-        from bkgeom.curvature import complex_to_real_endo
-
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         a = 0.5 * (a - a.conj().T)
         assert is_sp(complex_to_real_endo(a))
+
+
+def _duality_generators(a):
+    """The three generators duality_action_check flows along."""
+    twist = algebra_action(a, np.eye(a.shape[0]))
+    return twist, complex_to_real_endo(twist), complex_to_real_endo(a)
+
+
+def _pointwise_duality(m, samples, timesteps, expm):
+    """A random a in u(m) and the duality residuals, one expm(X, t) per start point and time."""
+    rng = np.random.default_rng(40 + m)
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    a = 0.5 * (a - a.conj().T)
+    twist, M_twist, M_plain = _duality_generators(a)
+    draw = np.random.default_rng(m)
+    resid_t = resid_u = 0.0
+    for _ in range(samples):
+        x0 = draw.standard_normal(m) + 1j * draw.standard_normal(m)
+        y0 = to_real(x0)
+        for t in np.linspace(0.0, 1.0, timesteps):
+            xc = to_real(expm(twist, t) @ x0)
+            yt = expm(M_twist, t) @ y0
+            yu = expm(M_plain, t) @ y0
+            resid_t = max(resid_t, min(np.linalg.norm(xc - yt), np.linalg.norm(xc + yt)))
+            resid_u = max(resid_u, min(np.linalg.norm(xc - yu), np.linalg.norm(xc + yu)))
+    g = random_sp(draw, 2 * m)
+    equi = 0.0
+    for _ in range(samples):
+        x = draw.standard_normal(2 * m)
+        rhs = g @ sp_square(x) @ np.linalg.inv(g)
+        equi = max(equi, float(np.abs(sp_square(g @ x) - rhs).max()
+                               / max(1.0, np.abs(rhs).max())))
+    return a, (resid_t, resid_u, equi)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_random_sp_is_symplectic(k, seed):
+    O = KaehlerModel(k).J.T
+    g = random_sp(np.random.default_rng(seed), 2 * k)
+    assert np.abs(g.T @ O @ g - O).max() <= 1e-12
