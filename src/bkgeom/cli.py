@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -102,8 +103,7 @@ def _cmd_grade(args) -> dict:
         out["structure_functions"] = None
         out["rejection"] = str(exc)
         return out
-    out["structure_functions"] = jsonio.structure_functions_to_json(
-        sf.rho, sf.u, sf.f, sf.scale)
+    out["structure_functions"] = {"rho": sf.rho, "u": sf.u, "f": sf.f, "scale": sf.scale}
     out["reconstruction_residual"] = sf.residual
     return out
 
@@ -215,6 +215,19 @@ def _size(text: str) -> int:
     return int(text)
 
 
+def _real(rule: str, ok):
+    """A float option type: a finite number for which `ok` holds, else a usage error."""
+    def parse(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not (math.isfinite(x) and ok(x)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return x
+    return parse
+
+
 class _JsonErrorParser(argparse.ArgumentParser):
     """Usage errors go to stderr as the JSON error object, with exit code 2."""
 
@@ -226,15 +239,18 @@ class _JsonErrorParser(argparse.ArgumentParser):
 _OPTIONS = {
     "matrix": (("--matrix", "-m"), dict(default=None, help="matrix JSON path ('-' for stdin)")),
     "n": (("--n",), dict(type=_size, default=2)),
-    "tol": (("--tol",), dict(type=float, default=1e-8)),
+    "tol": (("--tol",), dict(type=_real("a finite number in (0, 1)", lambda x: 0 < x < 1),
+                             default=1e-8)),
     "seed": (("--seed",), dict(type=int, default=0)),
     "samples": (("--samples",), dict(type=_size, default=4)),
-    "fd_step": (("--fd-step",), dict(dest="fd_step", type=float, default=1e-4)),
+    "fd_step": (("--fd-step",), dict(
+        dest="fd_step", type=_real("a finite number above 0", lambda x: x > 0), default=1e-4)),
     "sigma_sign": (("--sigma-sign",), dict(
         dest="sigma_sign", choices=("paper", "flipped"), default="flipped",
         help="section quadric sign convention; 'flipped' is the one reproducing "
              "the projective-space model")),
-    "lambda0": (("--lambda0",), dict(type=float, default=0.3)),
+    "lambda0": (("--lambda0",), dict(type=_real("a finite number", lambda x: True),
+                                     default=0.3)),
     "scale": (("--scale",), dict(type=_size, default=1)),
 }
 

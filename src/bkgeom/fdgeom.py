@@ -13,10 +13,9 @@ with the curvature sign fixed so that the round unit sphere has sectional
 curvature +1.  No automatic differentiation anywhere.  The scheme is
 second order: halving the step shrinks curvature errors by about 4x.
 
-`central_partials` is the one first-difference formula, here and in every
-caller of the oracle; only the Hessian stencil of `second_fundamental_form`
-is written out apart.  A chart refuses a point outside its domain by
-raising from its `eval`.
+`central_partials` is the one difference formula, here and in every
+caller of the oracle; second derivatives nest it.  A chart refuses a point
+outside its domain by raising from its `eval`.
 """
 
 from __future__ import annotations
@@ -113,26 +112,11 @@ def second_fundamental_form(ambient_chart: ChartMetric, embedding, p,
     geodesic submanifolds are exactly those with vanishing norm.
     """
     p = np.asarray(p, dtype=float)
-    d = p.size
     q = np.asarray(embedding(p), dtype=float)
-    D = q.size
-
     E = central_partials(embedding, p, step).T
-
-    Hess = np.empty((D, d, d))
-    for i in range(d):
-        hi = np.zeros(d)
-        hi[i] = step
-        Hess[:, i, i] = (np.asarray(embedding(p + hi)) - 2.0 * q
-                         + np.asarray(embedding(p - hi))) / step ** 2
-        for j in range(i + 1, d):
-            hj = np.zeros(d)
-            hj[j] = step
-            mixed = (np.asarray(embedding(p + hi + hj))
-                     - np.asarray(embedding(p + hi - hj))
-                     - np.asarray(embedding(p - hi + hj))
-                     + np.asarray(embedding(p - hi - hj))) / (4.0 * step ** 2)
-            Hess[:, i, j] = Hess[:, j, i] = mixed
+    # Hess[k, i, j] = d_i d_j of embedding coordinate k
+    Hess = np.transpose(central_partials(
+        lambda s: central_partials(embedding, s, step), p, step), (2, 0, 1))
 
     G = ambient_chart.at(q)
     Gamma = christoffel(ambient_chart, q, step)

@@ -238,37 +238,6 @@ def _separated_values(rng: np.random.Generator, count: int, taken=()) -> list[fl
     return vals
 
 
-def _null_pair(space: HermitianSpace):
-    # N+ = e1 + e_last and N- = e1 - e_last are null with h(N+, N-) = 2
-    d = space.dim
-    np_ = np.zeros(d, dtype=complex)
-    nm = np.zeros(d, dtype=complex)
-    np_[0] = 1.0
-    np_[d - 1] = 1.0
-    nm[0] = 1.0
-    nm[d - 1] = -1.0
-    return np_, nm
-
-
-def _basis_with(space: HermitianSpace, special: list[np.ndarray],
-                skip: tuple[int, ...]) -> np.ndarray:
-    # columns: the special vectors, then standard e_j for j not in skip
-    cols = list(special)
-    for j in range(space.dim):
-        if j not in skip:
-            e = np.zeros(space.dim, dtype=complex)
-            e[j] = 1.0
-            cols.append(e)
-    return np.array(cols, dtype=complex).T
-
-
-def _from_canonical(space, basis, canon, rng):
-    A = basis @ canon @ np.linalg.inv(basis)
-    G = group_conjugator(rng, space)
-    A = G @ A @ np.linalg.inv(G)
-    return su_element(su_project(A, space), space)
-
-
 def random_su(seed: int, space: HermitianSpace, profile: str = "generic",
               epsilon: int = 1) -> SuElement:
     """Deterministic pseudo-random su(n,1) elements, by spectral profile.
@@ -281,11 +250,19 @@ def random_su(seed: int, space: HermitianSpace, profile: str = "generic",
         jordan3             one Jordan 3-block (needs n >= 2)
         split-real          an eigenvalue pair (lam, -conj(lam)) with Re lam != 0
 
-    Constructed profiles draw well-separated eigenvalues so that orbit
-    classification at desk tolerances has honest margins, and are
+    The four other profiles share one construction.  A head of k
+    coordinates (k = 1 for diagonal-imaginary, 2 for jordan2 and split-real,
+    3 for jordan3) carries the type's canonical block with imaginary part b:
+    the eigenvalue ib, a Jordan chain on ib, or the pair +-a + ib with
+    0.3 <= |a| <= 1.2 on the null plane of e1 +- e_last.  The other d - k unit coordinates carry purely imaginary
+    values at least 0.25 apart from each other and from b, the last of them
+    fixed by the trace to -k*b minus the rest.  When the head fills the
+    space, the trace forces b = 0 and nothing is drawn.  The block is
     conjugated by a random U(n,1) element before certification.  A draw
-    whose rejection sampler jams, or whose trace-derived eigenvalue
-    collides with the others, is redrawn from seed + 90001.
+    whose rejection sampler jams, or whose trace-fixed eigenvalue lies within
+    0.25 of another eigenvalue in the complex plane, is redrawn from
+    seed + 90001; the split pair lies at least 0.3 off the imaginary axis,
+    so only the imaginary eigenvalues can collide.
     """
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
@@ -303,83 +280,48 @@ def _draw(rng: np.random.Generator, space: HermitianSpace, profile: str,
         A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         return su_element(su_project(A, space), space)
 
-    if profile == "diagonal-imaginary":
-        lam = _separated_values(rng, space.n)
-        last = -sum(lam)
-        if any(abs(last - v) < _MIN_GAP for v in lam):
-            raise _Redraw
-        diag = np.diag(1j * np.array(lam + [last]))
-        G = group_conjugator(rng, space)
-        A = G @ diag @ np.linalg.inv(G)
-        return su_element(su_project(A, space), space)
-
     if profile == "rank1":
         v = rng.standard_normal(space.n) + 1j * rng.standard_normal(space.n)
         v /= np.linalg.norm(v)
         x = np.concatenate([v, [np.linalg.norm(v)]])  # null: (v, ||v||)
         return su_element(wedge_j(x, space), space)
 
-    if profile == "jordan2":
+    # the head's basis vectors and the real parts of its eigenvalues
+    e = np.eye(d, dtype=complex)
+    null_p, null_m = e[0] + e[-1], e[0] - e[-1]   # null, h(null_p, null_m) = 2
+    offsets = 0.0
+    if profile == "diagonal-imaginary":
+        head = [e[0]]
+    elif profile == "jordan2":
         if epsilon not in (1, -1):
             raise ValueError("epsilon must be +-1")
-        if space.n == 1:
-            lam1, others = 0.0, []   # trace forces the nilpotent block in su(1,1)
-        else:
-            lam1 = _separated_values(rng, 1)[0]
-            singles = _separated_values(rng, space.n - 2, taken=[lam1])
-            last = -2.0 * lam1 - sum(singles)
-            if any(abs(last - v) < _MIN_GAP for v in singles + [lam1]):
-                raise _Redraw
-            others = singles + [last]
-        npl, nmi = _null_pair(space)
-        e1 = npl
-        e2 = (-epsilon * 0.5j) * nmi  # h(e1, e2) = epsilon * i
-        basis = _basis_with(space, [e1, e2], skip=(0, d - 1))
-        canon = np.diag(1j * np.array([lam1, lam1] + others))
-        canon[0, 1] = 1.0
-        return _from_canonical(space, basis, canon, rng)
-
-    if profile == "jordan3":
+        head = [null_p, (-epsilon * 0.5j) * null_m]   # h(e1, e2) = epsilon * i
+    elif profile == "jordan3":
         if space.n < 2:
             raise ValueError("jordan3 needs n >= 2")
-        if space.n == 2:
-            lam1, singles = 0.0, []  # dim V = 3 forces the nilpotent orbit
-        else:
-            lam1 = _separated_values(rng, 1)[0]
-            singles = _separated_values(rng, space.n - 3, taken=[lam1])
-        last = -3.0 * lam1 - sum(singles)
-        if space.n > 2 and any(abs(last - v) < _MIN_GAP for v in singles + [lam1]):
-            raise _Redraw
-        if space.n == 2:
-            spectrum = [0.0, 0.0, 0.0]
-        else:
-            spectrum = [lam1, lam1, lam1] + singles + [last]
-        npl, nmi = _null_pair(space)
-        f1 = npl
-        f3 = -0.5 * nmi            # h(f1, f3) = -1
-        f2 = np.zeros(d, dtype=complex)
-        f2[1] = 1.0                # unit, orthogonal to f1 and f3
-        basis = _basis_with(space, [f1, f2, f3], skip=(0, 1, d - 1))
-        canon = np.diag(1j * np.array(spectrum))
-        canon[0, 1] = 1.0
-        canon[1, 2] = 1.0
-        return _from_canonical(space, basis, canon, rng)
+        head = [null_p, e[1], -0.5 * null_m]          # h(f1, f3) = -1, f2 a unit
+    else:  # split-real
+        a = float(rng.uniform(0.3, 1.2)) * (1 if rng.uniform() < 0.5 else -1)
+        head, offsets = [null_p, 0.5 * null_m], np.array([a, -a])   # h(e1, e2) = 1
+    k = len(head)
 
-    # split-real: eigenvalue pair (a+ib, -a+ib) on a null plane, rest imaginary
-    a = float(rng.uniform(0.3, 1.2)) * (1 if rng.uniform() < 0.5 else -1)
-    if space.n == 1:
-        b, imag = 0.0, []          # trace forces b = 0 in su(1,1)
+    if k == d:
+        imag = [0.0] * d
     else:
         b = _separated_values(rng, 1)[0]
-        singles = _separated_values(rng, space.n - 2, taken=[b])
-        last = -2.0 * b - sum(singles)
-        if any(abs(last - v) < _MIN_GAP for v in singles):
-            raise _Redraw
-        imag = singles + [last]
-    npl, nmi = _null_pair(space)
-    e1 = npl
-    e2 = 0.5 * nmi                 # h(e1, e2) = 1
-    basis = _basis_with(space, [e1, e2], skip=(0, d - 1))
-    canon = np.diag(np.concatenate([[a + 1j * b, -a + 1j * b],
-                                    1j * np.array(imag)]))
-    return _from_canonical(space, basis, canon, rng)
+        tail = _separated_values(rng, d - k - 1, taken=[b])
+        imag = [b] * k + tail + [-k * b - sum(tail)]
+    spectrum = 1j * np.array(imag)
+    spectrum[:k] += offsets
+    if k < d and np.abs(spectrum[-1] - spectrum[:-1]).min() < _MIN_GAP:
+        raise _Redraw
+
+    canon = np.diag(spectrum)
+    if profile.startswith("jordan"):
+        canon[range(k - 1), range(1, k)] = 1.0
+    untouched = e[~np.array(head).any(axis=0)]   # the unit coordinates of the tail
+    basis = np.array(head + list(untouched)).T
+    A = basis @ canon @ np.linalg.inv(basis)
+    G = group_conjugator(rng, space)
+    A = G @ A @ np.linalg.inv(G)
+    return su_element(su_project(A, space), space)

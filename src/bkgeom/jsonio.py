@@ -81,16 +81,3 @@ def matrix_from_json(doc) -> np.ndarray:
         raise NonFiniteError("matrix has non-finite entries")
     return A
 
-
-def vector_to_json(v) -> list:
-    v = np.asarray(v, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in v]
-
-
-def structure_functions_to_json(rho, u, f, scale) -> dict:
-    return {
-        "rho": [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(rho)],
-        "u": vector_to_json(u),
-        "f": float(f),
-        "scale": float(scale),
-    }

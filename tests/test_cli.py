@@ -122,6 +122,23 @@ class TestClassifyCommand:
         assert err["kind"] == "usage"
         assert f"argument {argv[1]}: must be an integer of at least 1" in err["error"]
 
+    @pytest.mark.parametrize("command,option,value", [
+        ("classify -m -", "--tol", "inf"), ("classify -m -", "--tol", "nan"),
+        ("classify -m -", "--tol", "0"), ("grade -m -", "--tol", "1"),
+        ("verify-prop", "--fd-step", "0"), ("verify-prop", "--fd-step", "nan"),
+        ("verify-cpn", "--fd-step", "-1e-4"), ("selftest", "--fd-step", "inf"),
+        ("tower", "--lambda0", "nan"), ("tower", "--lambda0", "-inf"),
+        ("tower", "--lambda0", "x")])
+    def test_float_outside_its_range_is_usage_error(self, command, option, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), f"{option}={value}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = json.loads(err)
+        assert err["kind"] == "usage"
+        assert f"argument {option}: must be a finite number" in err["error"]
+
     def test_byte_identical_reports(self, cp_matrix):
         r1 = run_cli("classify", "-m", cp_matrix)
         r2 = run_cli("classify", "-m", cp_matrix)

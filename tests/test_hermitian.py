@@ -10,6 +10,7 @@ from bkgeom.hermitian import (
     NonFiniteError,
     SuElement,
     SuMembershipError,
+    _MIN_GAP,
     cayley,
     group_conjugator,
     random_su,
@@ -208,6 +209,34 @@ class TestRandomSu:
         A = random_su(seed, sp, "diagonal-imaginary")
         assert isinstance(A, SuElement)
         assert classify(A).tag == "1"
+
+    @pytest.mark.parametrize("profile,k,n", [
+        (profile, k, n)
+        for profile, k in (("diagonal-imaginary", 1), ("jordan2", 2), ("jordan3", 3),
+                           ("split-real", 2))
+        for n in range(2 if profile == "jordan3" else 1, 9)])
+    def test_structured_spectrum_is_separated(self, profile, k, n):
+        # the canonical head of k coordinates is one eigenvalue cluster of k on the
+        # imaginary axis, or the split pair at least 0.3 off it; every other
+        # eigenvalue is simple, imaginary and _MIN_GAP from the rest
+        from bkgeom.orbits import eigenstructure
+
+        sp = HermitianSpace(n)
+        for seed in range(25):
+            clusters = eigenstructure(random_su(seed, sp, profile)).clusters
+            lam = np.array([c.eigenvalue for c in clusters])
+            mult = np.array([c.multiplicity for c in clusters])
+            assert abs(mult @ lam.imag) < 1e-9
+            on_axis = np.abs(lam.real) < 1e-6
+            pair = lam[~on_axis]
+            if profile == "split-real":
+                assert len(pair) == 2 and np.all(np.abs(pair.real) >= 0.3)
+                head = []
+            else:
+                assert len(pair) == 0
+                head = [k]
+            assert sorted(mult[on_axis]) == [1] * (sp.dim - k) + head
+            assert np.all(np.diff(np.sort(lam[on_axis].imag)) >= _MIN_GAP - 1e-9)
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
