@@ -208,11 +208,14 @@ def _cmd_selftest(args) -> dict:
     return run_selftest(seed=args.seed, scale=args.scale, fd_step=args.fd_step)
 
 
-def _size(text: str) -> int:
-    """A size option (--n, --samples, --scale): an integer of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return int(text)
+def _integer(least: int):
+    """An integer option type: a decimal integer of at least `least`, else a usage error."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at least {least}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _real(rule: str, ok):
@@ -238,11 +241,11 @@ class _JsonErrorParser(argparse.ArgumentParser):
 # every option a subcommand may take; each subcommand lists the ones it reads
 _OPTIONS = {
     "matrix": (("--matrix", "-m"), dict(default=None, help="matrix JSON path ('-' for stdin)")),
-    "n": (("--n",), dict(type=_size, default=2)),
+    "n": (("--n",), dict(type=_integer(1), default=2)),
     "tol": (("--tol",), dict(type=_real("a finite number in (0, 1)", lambda x: 0 < x < 1),
                              default=1e-8)),
-    "seed": (("--seed",), dict(type=int, default=0)),
-    "samples": (("--samples",), dict(type=_size, default=4)),
+    "seed": (("--seed",), dict(type=_integer(0), default=0)),
+    "samples": (("--samples",), dict(type=_integer(1), default=4)),
     "fd_step": (("--fd-step",), dict(
         dest="fd_step", type=_real("a finite number above 0", lambda x: x > 0), default=1e-4)),
     "sigma_sign": (("--sigma-sign",), dict(
@@ -251,7 +254,7 @@ _OPTIONS = {
              "the projective-space model")),
     "lambda0": (("--lambda0",), dict(type=_real("a finite number", lambda x: True),
                                      default=0.3)),
-    "scale": (("--scale",), dict(type=_size, default=1)),
+    "scale": (("--scale",), dict(type=_integer(1), default=1)),
 }
 
 _COMMANDS = [

@@ -13,15 +13,22 @@ with the curvature sign fixed so that the round unit sphere has sectional
 curvature +1.  No automatic differentiation anywhere.  The scheme is
 second order: halving the step shrinks curvature errors by about 4x.
 
-`central_partials` is the one difference formula, here and in every
-caller of the oracle; second derivatives nest it.  A chart refuses a point
-outside its domain by raising from its `eval`.
+One stencil table per dimension d, built once as integer offsets, serves
+all of it: the star rows 0, +e_0, -e_0, +e_1, ... and their pairwise sums,
+2d^2 + 2d + 1 distinct points.  `riemann` evaluates the metric once at each
+and takes Gamma at p and at p +- h e_m in one stacked computation;
+`christoffel` uses the star (2d + 1 points) and `second_fundamental_form`
+the table of its embeddings.  `_difference` is the one central difference,
+(f(+h) - f(-h)) / 2h; `central_partials`, with which every caller of the
+oracle differentiates, sits on it.  A chart refuses a point outside its
+domain by raising from its `eval`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,34 +56,79 @@ class ChartMetric:
         return g
 
 
+@cache
+def _stencil(dim: int):
+    """The central-difference stencil of R^dim as integer offsets.
+
+    Returns (star, points, pairs): star is (2 dim + 1, dim), the rows 0,
+    +e_0, -e_0, +e_1, -e_1, ...; points are the 2 dim^2 + 2 dim + 1 distinct
+    pairwise sums star[a] + star[b]; pairs[a, b] indexes that sum in points.
+    """
+    star = np.zeros((2 * dim + 1, dim), dtype=int)
+    star[1::2] = np.eye(dim, dtype=int)
+    star[2::2] = -np.eye(dim, dtype=int)
+    sums = (star[:, None, :] + star[None, :, :]).reshape(-1, dim)
+    points, pairs = np.unique(sums, axis=0, return_inverse=True)
+    return star, points, pairs.reshape(2 * dim + 1, 2 * dim + 1)
+
+
+def _sample(f, p, step: float, offsets) -> np.ndarray:
+    """f(p + step * o) for each integer offset row o, stacked on axis 0."""
+    return np.array([f(x) for x in p + step * offsets])
+
+
+def _table(f, p, step: float) -> np.ndarray:
+    """T[a, b] = f(p + step (star[a] + star[b])), f evaluated once per distinct point."""
+    _, points, pairs = _stencil(p.size)
+    return _sample(f, p, step, points)[pairs]
+
+
+def _difference(values, step: float) -> np.ndarray:
+    """d_k along axis 0 of values stacked over the star rows +e_0, -e_0, +e_1, ...
+
+    This is the one central difference of the package: (f(+h) - f(-h)) / (2 step).
+    """
+    return (values[0::2] - values[1::2]) / (2.0 * step)
+
+
 def central_partials(f, p, step: float) -> np.ndarray:
-    """d_i f(p) by central differences, stacked on axis 0: (f(p+h) - f(p-h)) / (2 step)."""
+    """d_i f(p) by central differences, stacked on axis 0."""
     p = np.asarray(p, dtype=float)
-    return np.array([(np.asarray(f(p + h)) - np.asarray(f(p - h))) / (2.0 * step)
-                     for h in step * np.eye(p.size)])
+    return _difference(_sample(f, p, step, _stencil(p.size)[0][1:]), step)
+
+
+def _christoffels(g, step: float) -> np.ndarray:
+    """Gamma[a, k, i, j] = Gamma^k_ij at each centre a, all in one stacked computation.
+
+    g[b, a] is the metric at centre a + step star[b]; g[0] holds the centres.
+    """
+    ginv = np.linalg.inv(g[0])
+    dg = np.moveaxis(_difference(g[1:], step), 1, 0)   # dg[a, k, i, j] = d_k g_ij
+    # T[a, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    T = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
+    return 0.5 * np.einsum("akl,aijl->akij", ginv, T)
 
 
 def christoffel(chart: ChartMetric, p, step: float = 1e-4) -> np.ndarray:
-    """Gamma[k, i, j] = Gamma^k_ij of the Levi-Civita connection."""
+    """Gamma[k, i, j] = Gamma^k_ij of the Levi-Civita connection (2 dim + 1 metric evaluations)."""
     p = np.asarray(p, dtype=float)
-    g = chart.at(p)
-    ginv = np.linalg.inv(g)
-    dg = central_partials(chart.at, p, step)   # dg[k, i, j] = d_k g_ij
-    # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    T = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
+    g = _sample(chart.at, p, step, _stencil(p.size)[0])
+    return _christoffels(g[:, None], step)[0]
 
 
 def riemann(chart: ChartMetric, p, step: float = 1e-4) -> np.ndarray:
-    """Curvature tensor at p; R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l)."""
-    p = np.asarray(p, dtype=float)
-    Gamma = christoffel(chart, p, step)
-    dGamma = central_partials(lambda q: christoffel(chart, q, step), p, step)
+    """Curvature tensor at p; R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l).
+
+    One metric evaluation per distinct stencil point (2 dim^2 + 2 dim + 1).
+    """
+    g = _table(chart.at, np.asarray(p, dtype=float), step)
+    Gammas = _christoffels(g, step)           # Gamma at p, p + h e_0, p - h e_0, ...
+    Gamma = Gammas[0]
+    dGamma = _difference(Gammas[1:], step)    # dGamma[m, l, j, k] = d_m Gamma^l_jk
     Rup = (np.einsum("iljk->lijk", dGamma) - np.einsum("jlik->lijk", dGamma)
            + np.einsum("lim,mjk->lijk", Gamma, Gamma)
            - np.einsum("ljm,mik->lijk", Gamma, Gamma))
-    g = chart.at(p)
-    return np.einsum("lm,mijk->ijkl", g, Rup)
+    return np.einsum("lm,mijk->ijkl", g[0, 0], Rup)
 
 
 def sectional(chart: ChartMetric, p, X, Y, step: float = 1e-4) -> float:
@@ -103,34 +155,42 @@ class SecondFundamentalForm:
     norm: float              # max over (i,j) of the ambient length of II(e_i, e_j)
 
 
-def second_fundamental_form(ambient_chart: ChartMetric, embedding, p,
-                            step: float = 1e-4) -> SecondFundamentalForm:
-    """II(X, Y) = normal component of the ambient covariant derivative.
+def second_fundamental_form(ambient_chart: ChartMetric, embeddings: Sequence, p,
+                            step: float = 1e-4) -> tuple[SecondFundamentalForm, ...]:
+    """II(X, Y) = normal component of the ambient covariant derivative, one per embedding.
 
-    `embedding` maps base chart coordinates into ambient chart coordinates;
-    it must be an immersion at p (rank deficiency raises).  Totally
-    geodesic submanifolds are exactly those with vanishing norm.
+    Each embedding maps base chart coordinates into ambient chart coordinates
+    and must be an immersion at p (rank deficiency raises).  All of them must
+    send p to the same ambient point q (else ValueError), so that one ambient
+    Christoffel symbol at q serves every form.  Totally geodesic
+    submanifolds are exactly those with vanishing norm.
     """
     p = np.asarray(p, dtype=float)
-    q = np.asarray(embedding(p), dtype=float)
-    E = central_partials(embedding, p, step).T
-    # Hess[k, i, j] = d_i d_j of embedding coordinate k
-    Hess = np.transpose(central_partials(
-        lambda s: central_partials(embedding, s, step), p, step), (2, 0, 1))
+    tables = [_table(f, p, step) for f in embeddings]
+    q = tables[0][0, 0]
+    if any(np.abs(F[0, 0] - q).max() > 1e-12 * max(1.0, np.abs(q).max()) for F in tables):
+        raise ValueError("embeddings send p to different ambient points")
+    G_star = _sample(ambient_chart.at, q, step, _stencil(q.size)[0])
+    G = G_star[0]
+    Gamma = _christoffels(G_star[:, None], step)[0]
+    forms = []
+    for F in tables:
+        dF = _difference(F[1:], step)            # dF[i, b] = d_i f at p + step star[b]
+        E = dF[:, 0].T
+        # Hess[k, i, j] = d_i d_j of embedding coordinate k
+        Hess = np.transpose(_difference(np.swapaxes(dF[:, 1:], 0, 1), step), (2, 1, 0))
+        II = Hess + np.einsum("klm,li,mj->kij", Gamma, E, E)
 
-    G = ambient_chart.at(q)
-    Gamma = christoffel(ambient_chart, q, step)
-    II = Hess + np.einsum("klm,li,mj->kij", Gamma, E, E)
-
-    M = E.T @ G @ E
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] < 1e-12 * max(1.0, sv[0]):
-        raise ValueError("embedding is rank deficient at p")
-    # tangential projector in the ambient metric
-    P = E @ np.linalg.solve(M, E.T @ G)
-    II_normal = II - np.einsum("kl,lij->kij", P, II)
-    norms = np.sqrt(np.einsum("kij,kl,lij->ij", II_normal, G, II_normal))
-    return SecondFundamentalForm(II_normal, E, float(norms.max()))
+        M = E.T @ G @ E
+        sv = np.linalg.svd(M, compute_uv=False)
+        if sv[-1] < 1e-12 * max(1.0, sv[0]):
+            raise ValueError("embedding is rank deficient at p")
+        # tangential projector in the ambient metric
+        P = E @ np.linalg.solve(M, E.T @ G)
+        II_normal = II - np.einsum("kl,lij->kij", P, II)
+        norms = np.sqrt(np.einsum("kij,kl,lij->ij", II_normal, G, II_normal))
+        forms.append(SecondFundamentalForm(II_normal, E, float(norms.max())))
+    return tuple(forms)
 
 
 def cone_metric_chart(base_chart: ChartMetric) -> ChartMetric:

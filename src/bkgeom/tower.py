@@ -115,10 +115,10 @@ def verify_tower_geodesic(model: ConeModel, lambda0: float, samples: int = 3,
             out[kb] = bump * float(s @ s)
             return out
 
-        base0 = np.zeros(frame.count)
-        ii = second_fundamental_form(chart, lambda s: embed_coords(s), base0, fd_step)
-        ii_bad = second_fundamental_form(chart, lambda s: embed_coords(s, bump=0.5),
-                                         base0, fd_step)
+        # one ambient Christoffel symbol at the shared image point serves both
+        ii, ii_bad = second_fundamental_form(
+            chart, [embed_coords, lambda s: embed_coords(s, bump=0.5)],
+            np.zeros(frame.count), fd_step)
         ii_norms.append(ii.norm)
         controls.append(ii_bad.norm)
 

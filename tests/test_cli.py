@@ -122,6 +122,18 @@ class TestClassifyCommand:
         assert err["kind"] == "usage"
         assert f"argument {argv[1]}: must be an integer of at least 1" in err["error"]
 
+    @pytest.mark.parametrize("command", ["curvature", "duality", "tower", "verify-cpn",
+                                         "verify-prop", "selftest"])
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed=-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = json.loads(err)
+        assert err["kind"] == "usage"
+        assert "argument --seed: must be an integer of at least 0, got '-1'" in err["error"]
+
     @pytest.mark.parametrize("command,option,value", [
         ("classify -m -", "--tol", "inf"), ("classify -m -", "--tol", "nan"),
         ("classify -m -", "--tol", "0"), ("grade -m -", "--tol", "1"),

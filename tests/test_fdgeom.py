@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from bkgeom.cone import contact_frame, quotient_chart, random_type1_cone_model, sigma_sample
 from bkgeom.fdgeom import (
     ChartBoundaryError,
     ChartMetric,
+    central_partials,
     christoffel,
     cone_metric_chart,
     euclidean_chart,
@@ -11,7 +13,7 @@ from bkgeom.fdgeom import (
     second_fundamental_form,
     sectional,
 )
-from bkgeom.sasaki import ellipsoid_chart, sphere_chart, sphere_embedding
+from bkgeom.sasaki import cpn_quotient_chart, ellipsoid_chart, sphere_chart, sphere_embedding
 
 
 def closed_form_sphere_christoffel(x):
@@ -94,12 +96,92 @@ class TestRiemann:
              for h in (2e-3, 1e-3)]
         assert 3.0 < e[0] / e[1] < 5.0
 
+    @pytest.mark.parametrize("m,p", [(2, (0.3, -0.4)), (3, (0.2, 0.1, -0.3))])
+    def test_observed_order_against_the_closed_form(self, m, p):
+        # unit sphere: R_ijkl = g_jk g_il - g_ik g_jl
+        ch, p = sphere_chart(m), np.array(p)
+        g = ch.at(p)
+        exact = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
+        err = [np.abs(riemann(ch, p, h) - exact).max() for h in (1e-2, 5e-3)]
+        assert 1.9 <= np.log2(err[0] / err[1]) <= 2.1
+
+
+def nested_christoffel(chart, p, step):
+    """Gamma from central_partials(chart.at, ...): the textbook formula, point by point."""
+    ginv = np.linalg.inv(chart.at(p))
+    dg = central_partials(chart.at, p, step)
+    T = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
+
+
+def nested_riemann(chart, p, step):
+    """R from nested central_partials of nested_christoffel (one chart call per stencil use)."""
+    Gamma = nested_christoffel(chart, p, step)
+    dGamma = central_partials(lambda q: nested_christoffel(chart, q, step), p, step)
+    Rup = (np.einsum("iljk->lijk", dGamma) - np.einsum("jlik->lijk", dGamma)
+           + np.einsum("lim,mjk->lijk", Gamma, Gamma)
+           - np.einsum("ljm,mik->lijk", Gamma, Gamma))
+    return np.einsum("lm,mijk->ijkl", chart.at(p), Rup)
+
+
+def stencil_case(family, d):
+    """A chart of dimension d from one of the oracle's chart families, and a point in it."""
+    rng = np.random.default_rng(10 * d + len(family))
+    x = 0.3 * rng.uniform(-1.0, 1.0, d)
+    if family == "sphere":
+        return sphere_chart(d), x
+    if family == "ellipsoid":
+        return ellipsoid_chart(np.linspace(0.8, 1.5, d + 1)), x
+    if family == "cone":
+        return cone_metric_chart(sphere_chart(d - 1)), np.append(x[:-1], 1.1)
+    if family == "cpn":
+        return cpn_quotient_chart(d // 2), x
+    model = random_type1_cone_model(d // 2 + 1, d)
+    frame = contact_frame(sigma_sample(model, d, 1)[0], model)
+    return quotient_chart(frame), np.zeros(d)
+
+
+def counting(chart):
+    """The same metric, recording every point it is evaluated at."""
+    points = []
+
+    def ev(p):
+        points.append(tuple(p))
+        return chart.at(p)
+
+    return ChartMetric(chart.dim, ev), points
+
+
+STENCIL_CASES = ([(f, d) for f in ("sphere", "ellipsoid", "cone") for d in range(2, 9)]
+                 + [(f, d) for f in ("cpn", "quotient") for d in (2, 4, 6, 8)])
+
+
+class TestStencil:
+    @pytest.mark.parametrize("family,d", STENCIL_CASES)
+    def test_matches_nested_differences(self, family, d):
+        chart, p = stencil_case(family, d)
+        ref_G, ref_R = nested_christoffel(chart, p, 1e-4), nested_riemann(chart, p, 1e-4)
+        G, R = christoffel(chart, p, 1e-4), riemann(chart, p, 1e-4)
+        assert np.abs(G - ref_G).max() <= 1e-12 * max(1.0, np.abs(ref_G).max())
+        assert np.abs(R - ref_R).max() <= 1e-7 * max(1.0, np.abs(ref_R).max())
+
+    @pytest.mark.parametrize("family,d", [("sphere", 2), ("ellipsoid", 5), ("cpn", 6),
+                                          ("quotient", 8)])
+    def test_each_distinct_point_once(self, family, d):
+        chart, p = stencil_case(family, d)
+        ch, points = counting(chart)
+        riemann(ch, p)
+        assert len(points) == len(set(points)) == 2 * d * d + 2 * d + 1
+        points.clear()
+        christoffel(ch, p)
+        assert len(points) == len(set(points)) == 2 * d + 1
+
 
 class TestSecondFundamentalForm:
     def test_linear_subspace_in_flat_space(self):
         amb = euclidean_chart(3)
-        ii = second_fundamental_form(amb, lambda s: np.array([s[0], 2 * s[0], 0.0]),
-                                     np.zeros(1))
+        (ii,) = second_fundamental_form(amb, [lambda s: np.array([s[0], 2 * s[0], 0.0])],
+                                        np.zeros(1))
         assert ii.norm < 1e-10
 
     def test_equator_is_geodesic(self):
@@ -109,7 +191,7 @@ class TestSecondFundamentalForm:
             q = np.array([np.cos(t[0]), np.sin(t[0]), 0.0])
             return q[:2] / (1.0 + q[2])
 
-        ii = second_fundamental_form(amb, equator, np.array([0.4]))
+        (ii,) = second_fundamental_form(amb, [equator], np.array([0.4]))
         assert ii.norm < 1e-6
 
     def test_latitude_circle_matches_closed_form(self):
@@ -124,7 +206,7 @@ class TestSecondFundamentalForm:
             return q[:2] / (1.0 + q[2])
 
         p = np.array([0.7])
-        ii = second_fundamental_form(amb, latitude, p)
+        (ii,) = second_fundamental_form(amb, [latitude], p)
         E = ii.tangent_frame[:, 0]
         g = amb.at(latitude(p))
         speed2 = float(E @ g @ E)
@@ -133,8 +215,32 @@ class TestSecondFundamentalForm:
     def test_rank_deficiency_detected(self):
         amb = euclidean_chart(2)
         with pytest.raises(ValueError):
-            second_fundamental_form(amb, lambda s: np.array([s[0] ** 3, 0.0]),
+            second_fundamental_form(amb, [lambda s: np.array([s[0] ** 3, 0.0])],
                                     np.zeros(1))
+
+    def test_one_call_equals_one_call_per_embedding(self):
+        amb = sphere_chart(3)
+
+        def flat(s):
+            return np.array([s[0], s[1], 0.0])   # a great S^2, totally geodesic
+
+        def bumped(s):
+            return flat(s) + np.array([0.0, 0.0, 0.5 * float(s @ s)])
+
+        p = np.zeros(2)
+        both = second_fundamental_form(amb, [flat, bumped], p)
+        alone = [second_fundamental_form(amb, [f], p)[0] for f in (flat, bumped)]
+        for ii, ref in zip(both, alone):
+            assert np.array_equal(ii.components, ref.components)
+            assert np.array_equal(ii.tangent_frame, ref.tangent_frame)
+            assert ii.norm == ref.norm
+        assert both[1].norm > 0.1 > both[0].norm
+
+    def test_embeddings_must_share_the_image_point(self):
+        amb = euclidean_chart(2)
+        with pytest.raises(ValueError, match="different ambient points"):
+            second_fundamental_form(amb, [lambda s: np.array([s[0], 0.0]),
+                                          lambda s: np.array([s[0], 1e-3])], np.zeros(1))
 
 
 class TestConeMetric:

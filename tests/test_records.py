@@ -26,7 +26,7 @@ RECORDS = {
     "PropositionReport": proposition_report,
     "PropositionPointReport": lambda: proposition_report().points[0],
     "SecondFundamentalForm": lambda: fdgeom.second_fundamental_form(
-        fdgeom.euclidean_chart(3), lambda s: np.concatenate([s, [0.0]]), np.zeros(2)),
+        fdgeom.euclidean_chart(3), [lambda s: np.concatenate([s, [0.0]])], np.zeros(2))[0],
     "PipelineReport": lambda: sasaki.cpn_pipeline(1, samples=1),
 }
 

@@ -1,11 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bkgeom import tower
 from bkgeom.cone import algebra_action, cp_cone_model, random_type1_cone_model
 from bkgeom.grading import cp_generator
 from bkgeom.curvature import KaehlerModel, complex_to_real_endo, to_real
+from bkgeom.fdgeom import ChartMetric
 from bkgeom.hermitian import HermitianSpace, SuElement, su_element
 from bkgeom.tower import (
     _unitary_flow,
@@ -99,6 +103,27 @@ class TestTowerGeodesic:
         rep = verify_tower_geodesic(model, 0.3 + 0.1 * seed, samples=2, seed=seed)
         assert rep.max_ii <= 1e-3
         assert rep.min_control >= 0.05
+
+    def test_one_christoffel_per_sample(self, monkeypatch):
+        # II and its bump control share one ambient Christoffel symbol: 2D + 1
+        # ambient evaluations per sample, plus the three isometry probes
+        calls = Counter()
+        quotient_chart = tower.quotient_chart
+
+        def counted(frame):
+            chart = quotient_chart(frame)
+
+            def ev(p):
+                calls[chart.dim] += 1
+                return chart.at(p)
+
+            return ChartMetric(chart.dim, ev)
+
+        monkeypatch.setattr(tower, "quotient_chart", counted)
+        model, samples = random_type1_cone_model(3, 0), 2
+        verify_tower_geodesic(model, 0.3, samples=samples, seed=0)
+        D = 2 * model.n
+        assert calls == {D: samples * (2 * D + 1 + 3), D - 2: samples * 3}
 
 
 class TestSpSquare:
