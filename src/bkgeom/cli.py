@@ -29,7 +29,7 @@ EXIT_BAD_JSON = 3
 EXIT_ILL_CONDITIONED = 4
 
 
-class ValidationFailure(Exception):
+class ValidationFailure(ValueError):
     pass
 
 
@@ -55,8 +55,11 @@ class BadInput(Exception):
 def _emit(report: dict, out_path: str | None) -> None:
     text = jsonio.dumps(report)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationFailure(f"--out {out_path!r}: {exc.strerror}") from None
     sys.stdout.write(text)
 
 
@@ -301,16 +304,16 @@ def main(argv=None) -> int:
     if getattr(args, "matrix", "unset") is None and args.command in (
             "classify", "grade", "charpoly"):
         return _fail("validation", f"{args.command} requires --matrix", EXIT_VALIDATION)
+    # every refusal (validation, empty section, tangency, chart failure) is a ValueError
     try:
         report = args.func(args)
+        _emit(report, args.out)
     except BadInput as exc:
         return _fail("bad-json", str(exc), EXIT_BAD_JSON)
     except IllConditionedError as exc:
         return _fail("ill-conditioned", str(exc), EXIT_ILL_CONDITIONED)
-    except (ValidationFailure, cone.EmptySectionError, cone.TangencyError,
-            cone.ChartFailureError, ValueError) as exc:
+    except ValueError as exc:
         return _fail("validation", str(exc), EXIT_VALIDATION)
-    _emit(report, args.out)
     if args.command == "selftest" and not report["pass"]:
         return _fail("validation", "selftest reported failures", EXIT_VALIDATION)
     return EXIT_OK

@@ -30,10 +30,11 @@ Y may be single vectors of shape (n,) or blocks of shape (n, k), and a
 pairing of blocks is the (k, m) matrix of pairings of their columns, so a
 frame Gram matrix or the frame matrix of an endomorphism is one call.
 
-Quotient charts: the local slice through p is the affine span of a contact
-frame, renormalized radially onto Sigma; slice tangents are projected onto
-the contact distribution along xi0 and paired with g_D.  The curvature of
-that chart metric is compared against the template
+Quotient charts (`quotient_chart`, on a frame from `contact_frame`): the
+local slice through p is the affine span of a contact frame, renormalized
+radially onto Sigma; slice tangents are projected onto the contact
+distribution along xi0 and paired with g_D.  The curvature of that chart
+metric is compared against the template
 
     R approx QUOTIENT_TEMPLATE_SCALE * R_(rho/2 + |act p|^2 J / 4)
 
@@ -65,11 +66,11 @@ class EmptySectionError(ValueError):
     """The section quadric has no solutions for the chosen sign."""
 
 
-class TangencyError(RuntimeError):
+class TangencyError(ValueError):
     """The symmetry direction is not transversal to the contact distribution."""
 
 
-class ChartFailureError(RuntimeError):
+class ChartFailureError(ValueError):
     """The local quotient slice degenerated."""
 
 
@@ -329,14 +330,15 @@ def _distribution_normals(p, model: ConeModel) -> np.ndarray:
     return N / lengths
 
 
-def contact_frame(p, model: ConeModel, preset=None) -> DistributionFrame:
+def contact_frame(p, model: ConeModel) -> DistributionFrame:
     """Build a J_M-adapted induced-metric-orthonormal frame of D_p.
 
-    `preset` may hold already-built frame columns (ordered as in
-    DistributionFrame) to be preserved exactly, e.g. an embedded frame of
-    a smaller model; the remaining directions are filled from the standard
-    basis.  Raises TangencyError when xi0 fails the transversality
-    threshold.
+    The 2n real unit directions, projected onto D_p along the two contact
+    normals, have an induced Gram of rank 2n-2; one eigh of it, its two null
+    eigenvalues dropped, gives a g_D-orthonormal basis B.  One eigh of the
+    hermitian -i J_B, J_B = g_D(B, J_M B), gives the +i eigenvectors
+    a + ib of J_M (J_B a = -b, J_B b = a), and the frame is B sqrt2 [a, -b].
+    Raises TangencyError when xi0 fails the transversality threshold.
     """
     model = model.coherent()
     p = np.asarray(p, dtype=complex)
@@ -347,41 +349,12 @@ def contact_frame(p, model: ConeModel, preset=None) -> DistributionFrame:
     if abs(lam_xi) < TRANSVERSALITY_THRESHOLD:
         raise TangencyError(f"lambda(xi0) = {lam_xi:.3e} below threshold")
     normals = _distribution_normals(p, model)
-
-    def project(X):
-        return X - normals @ flat_inner(normals, X)
-
-    held: list[np.ndarray] = []
-    jheld: list[np.ndarray] = []
-    if preset is not None:
-        k = preset.shape[1] // 2
-        held = [preset[:, a] for a in range(k)]
-        jheld = [preset[:, k + a] for a in range(k)]
-
-    def deflate(w):
-        for u in held + jheld:
-            w = w - induced_metric(p, w, u) * u
-        return w
-
-    cands = [np.eye(n, dtype=complex)[:, j] * s for j in range(n) for s in (1.0, 1.0j)]
-    ci = 0
-    while len(held) < n - 1:
-        if ci >= len(cands):
-            raise ChartFailureError("could not complete the contact frame")
-        w = deflate(project(cands[ci]))
-        ci += 1
-        nw = induced_metric(p, w, w)
-        if nw < 0.05:
-            continue
-        v = w / np.sqrt(nw)
-        jv = deflate(j_m(p, v, model))
-        njv = induced_metric(p, jv, jv)
-        if njv < 0.05:
-            raise ChartFailureError("J_M image collapsed during frame construction")
-        held.append(v)
-        jheld.append(jv / np.sqrt(njv))
-
-    frame = DistributionFrame(p, np.array(held + jheld).T, model)
+    units = np.hstack([np.eye(n), 1j * np.eye(n)])
+    proj = units - normals @ flat_inner(normals, units)
+    w, V = np.linalg.eigh(induced_metric(p, proj, proj))
+    B = proj @ (V[:, 2:] / np.sqrt(w[2:]))
+    U = np.linalg.eigh(-1j * induced_metric(p, B, j_m(p, B, model)))[1][:, n - 1:]
+    frame = DistributionFrame(p, B @ (np.sqrt(2.0) * np.hstack([U.real, -U.imag])), model)
     G = frame.metric_gram()
     JF = frame.matrix_of(lambda X: j_m(p, X, model))
     J0 = KaehlerModel(n - 1).J
@@ -397,15 +370,14 @@ def contact_frame(p, model: ConeModel, preset=None) -> DistributionFrame:
 def quotient_chart(frame: DistributionFrame) -> ChartMetric:
     """Local chart of Sigma / flow with the submersion metric.
 
-    The slice is the radial renormalization s -> t(s) psi(s) of the affine
-    span psi(s) = p + F s of the frame; slice tangents are pushed into the
-    contact distribution along xi0 before pairing with the induced metric.
+    The slice is the affine span psi = p + F s of the frame, renormalized
+    radially onto Sigma.  The metric is homogeneous in that radial factor,
+    and lambda and g_D vanish on the radial direction, so it is taken at psi:
 
-    A slice tangent is t F_a + (d_a t) psi, and its radial part drops out:
-    psi is parallel to q = t psi, the contact form vanishes on it
-    (g(q, Jq) = 0), so it does not change the xi0 component, and g_D
-    vanishes on it (g_D(q, .) = 0).  So the tangents are taken as t F, and
-    the metric is one Gram product of the projected block.
+        g(s) = (target / lambda(xi0)) g_D(psi; H, H),   xi0 = act psi,
+
+    with H = F - xi0 lambda(F) / lambda(xi0) the frame pushed into the
+    contact distribution along xi0.
     """
     model = frame.model
     p0 = frame.point
@@ -413,16 +385,12 @@ def quotient_chart(frame: DistributionFrame) -> ChartMetric:
 
     def ev(s):
         psi = p0 + F @ s.astype(complex)
-        q_val = contact_form(model.act(psi), psi)
-        ratio = model.target / q_val if q_val != 0.0 else -1.0
-        if ratio <= 0.0:
+        xi0 = model.act(psi)
+        lam_xi = contact_form(xi0, psi)
+        if model.target * lam_xi <= 0.0:
             raise ChartFailureError("slice left the section's radial domain")
-        t = np.sqrt(ratio)
-        q = t * psi
-        xi0 = model.act(q)
-        V = t * F
-        H = V - _along(xi0, contact_form(V, q) / contact_form(xi0, q))
-        return induced_metric(q, H, H)
+        H = F - _along(xi0, contact_form(F, psi) / lam_xi)
+        return (model.target / lam_xi) * induced_metric(psi, H, H)
 
     return ChartMetric(frame.count, ev)
 

@@ -4,7 +4,9 @@ Complex matrices travel as {"n": int, "matrix": [[[re, im], ...], ...]}
 row-major.  Writers emit floats at 17 significant digits (enough to
 round-trip binary64 exactly) with sorted keys and fixed separators, so
 identical data always serializes to identical bytes.  The matrix reader
-refuses NaN and infinite entries with `hermitian.NonFiniteError`.
+refuses NaN and infinite entries with `hermitian.NonFiniteError`, and an
+entry that is not two numbers or an 'n' that is not the integer size minus
+one with ValueError.
 """
 
 from __future__ import annotations
@@ -65,18 +67,26 @@ def matrix_to_json(A) -> dict:
     }
 
 
+def _pair(c) -> bool:
+    """A matrix entry: exactly two JSON numbers [re, im]; a bool is not a number."""
+    return type(c) is list and len(c) == 2 and all(type(x) in (int, float) for x in c)
+
+
 def matrix_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise ValueError("matrix JSON must be an object with a 'matrix' field")
     rows = doc["matrix"]
+    if not (type(rows) is list and all(type(row) is list and all(map(_pair, row))
+                                       for row in rows)):
+        raise ValueError("matrix JSON entries must be pairs [re, im] of numbers")
     try:
-        A = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"malformed matrix entries: {exc}") from None
+        A = np.array([[complex(*c) for c in row] for row in rows], dtype=complex)
+    except OverflowError:
+        raise ValueError("matrix JSON entry too large for a float") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix JSON is not square")
-    if "n" in doc and int(doc["n"]) != A.shape[0] - 1:
-        raise ValueError("matrix JSON 'n' does not match matrix size")
+    if "n" in doc and not (type(doc["n"]) is int and doc["n"] == A.shape[0] - 1):
+        raise ValueError("matrix JSON 'n' must be the integer matrix size minus one")
     if not np.isfinite(A).all():
         raise NonFiniteError("matrix has non-finite entries")
     return A

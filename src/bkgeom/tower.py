@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeModel, algebra_action, contact_frame, quotient_chart, sigma_sample
+from .cone import (ConeModel, DistributionFrame, algebra_action, contact_frame, induced_metric,
+                   quotient_chart, sigma_sample)
 from .curvature import KaehlerModel, complex_to_real_endo, to_real
 from .fdgeom import second_fundamental_form
 from .hermitian import HermitianSpace, SuElement, cayley, su_element
@@ -88,47 +89,45 @@ def verify_tower_geodesic(model: ConeModel, lambda0: float, samples: int = 3,
                           fd_step: float = 1e-4, seed: int = 0) -> TowerReport:
     """Second fundamental form of the embedded quotient inside the ambient one.
 
-    The ambient contact frame is built to extend the embedded base frame,
-    so the embedding is coordinate-linear between the two quotient charts;
-    the control entry perturbs it by a quadratic bump and must be far from
-    geodesic.
+    Both contact frames come from `contact_frame`, and the embedded base
+    frame [0; F] lies in the ambient distribution, so the base chart embeds
+    by the constant frame-coordinate map E = g_D(F_big, [0; F]).  The ambient
+    frame is turned by one fixed unitary of its frame coordinates first: eigh
+    may return a basis of its degenerate eigenspaces that extends [0; F], and
+    then E would be a coordinate injection whose reflection symmetry zeroes
+    the finite-difference II exactly; turned, II is measured at second order
+    on every LAPACK.  The control bumps the embedding quadratically along a
+    unit normal to E's range and must be far from geodesic.
     """
     big = embedded_cone_model(model, lambda0)
     pts = sigma_sample(model, seed, samples)
     rng = np.random.default_rng(seed + 1)
+    M = np.random.default_rng(0).standard_normal((model.n, 2 * model.n)).view(complex)
+    mix = complex_to_real_endo(cayley(M - M.conj().T))
     ii_norms, controls, iso = [], [], []
     for p in pts:
         frame = contact_frame(p, model)
         P = embed_cone_point(p)
-        preset = np.vstack([np.zeros((1, frame.count), dtype=complex), frame.vectors])
-        big_frame = contact_frame(P, big, preset=preset)
+        big_frame = DistributionFrame(P, contact_frame(P, big).vectors @ mix, big)
         chart = quotient_chart(big_frame)
         base_chart = quotient_chart(frame)
-
-        kb = frame.count // 2           # base pairs; ambient has kb+1 pairs
-        ka = big_frame.count
-
-        def embed_coords(s, bump=0.0):
-            out = np.zeros(ka)
-            out[:kb] = s[:kb]
-            out[kb + 1:2 * kb + 1] = s[kb:]
-            out[kb] = bump * float(s @ s)
-            return out
+        E = induced_metric(P, big_frame.vectors, np.vstack([np.zeros((1, frame.count)),
+                                                            frame.vectors]))
+        normal = np.linalg.svd(E)[0][:, -1]
 
         # one ambient Christoffel symbol at the shared image point serves both
         ii, ii_bad = second_fundamental_form(
-            chart, [embed_coords, lambda s: embed_coords(s, bump=0.5)],
+            chart, [lambda s: E @ s, lambda s: E @ s + 0.5 * float(s @ s) * normal],
             np.zeros(frame.count), fd_step)
         ii_norms.append(ii.norm)
         controls.append(ii_bad.norm)
 
         # isometry of the embedding: base metric vs pulled-back ambient metric
-        E = ii.tangent_frame
         worst = 0.0
         for _ in range(3):
             s = 0.05 * rng.standard_normal(frame.count)
             gb = base_chart.at(s)
-            ga = E.T @ chart.at(embed_coords(s)) @ E
+            ga = E.T @ chart.at(E @ s) @ E
             worst = max(worst, float(np.abs(gb - ga).max()))
         iso.append(worst)
     return TowerReport(lambda0, tuple(ii_norms), tuple(controls), tuple(iso))

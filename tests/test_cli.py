@@ -101,6 +101,39 @@ class TestClassifyCommand:
         assert r.stdout == ""
         assert json.loads(r.stderr)["kind"] == "bad-json"
 
+    @pytest.mark.parametrize("doc", [
+        {"n": None}, {"n": [1]}, {"n": 1.7}, {"n": True},
+        {"matrix": [[[0, 1, 5], [0, 0]], [[0, 0], [0, 0]]]},
+        {"matrix": [[[True, False], [0, 0]], [[0, 0], [0, 0]]]},
+        {"matrix": [[[0, 0], [0, 0]], [[0, 0], [0, "1"]]]},
+        {"matrix": [[0, 0], [0, 0]]}, {"matrix": "[[0, 0]]"},
+        {"matrix": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]}])
+    def test_malformed_matrix_json_is_refused(self, doc, tmp_path):
+        # a non-integer 'n', an entry that is not two numbers, or a bool in
+        # either place is refused, never truncated, dropped or coerced
+        doc = {"n": 1, "matrix": [[[0, 1], [0, 0]], [[0, 0], [0, -1]]], **doc}
+        with pytest.raises(ValueError):
+            jsonio.matrix_from_json(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        r = run_cli("classify", "-m", str(path))
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert json.loads(r.stderr)["kind"] == "bad-json"
+
+    @pytest.mark.parametrize("argv", [("classify", "-m", "MATRIX"),
+                                      ("duality", "--n", "2", "--samples", "1")])
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_is_validation_error(self, argv, target, cp_matrix, tmp_path):
+        out = str(tmp_path / target)
+        argv = [cp_matrix if a == "MATRIX" else a for a in argv]
+        r = run_cli(*argv, "--out", out)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        err = json.loads(r.stderr)
+        assert err["kind"] == "validation"
+        assert "--out" in err["error"] and out in err["error"]
+
     def test_ignored_option_is_usage_error(self, cp_matrix):
         r = run_cli("classify", "-m", cp_matrix, "--n", "3")
         assert r.returncode == 2

@@ -258,6 +258,37 @@ class TestContactGeometry:
             contact_frame(p, model)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_frame_properties_across_models_and_signs(n):
+    # the frame is g_D-orthonormal, J_M-adapted and annihilates both contact
+    # constraints on projective, random and mixed-sign models, on both
+    # section branches, over 10 seeds
+    J0 = KaehlerModel(n - 1).J
+    signs = set()
+    for seed in range(10):
+        # alternating-sign action coefficients alpha = lam + sum(lam), so both
+        # section branches are nonempty
+        alpha = np.random.default_rng(seed).uniform(0.25, 1.0, n) * (-1.0) ** np.arange(n)
+        lam = alpha - alpha.sum() / (n + 1)
+        for model in (cp_cone_model(n), random_type1_cone_model(n, seed),
+                      ConeModel(lam, sigma_sign=1), ConeModel(lam, sigma_sign=-1)):
+            try:
+                points = sigma_sample(model, seed, 2)
+            except EmptySectionError:
+                continue
+            signs.add(model.sigma_sign)
+            xi = model.coherent().act
+            for p in points:
+                frame = contact_frame(p, model)
+                F = frame.vectors
+                assert F.shape == (n, 2 * n - 2)
+                assert np.abs(frame.metric_gram() - np.eye(2 * n - 2)).max() <= 1e-9
+                assert np.abs(frame.matrix_of(lambda X: j_m(p, X, model)) - J0).max() <= 1e-9
+                assert np.abs(flat_inner(F, 1j * p)).max() <= 1e-10
+                assert np.abs(flat_inner(F, 1j * xi(p))).max() <= 1e-10
+    assert signs == {1, -1}
+
+
 class TestRhoMap:
     def setup_method(self):
         self.model = random_type1_cone_model(3, 9)

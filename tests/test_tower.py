@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkgeom import tower
-from bkgeom.cone import algebra_action, cp_cone_model, random_type1_cone_model
+from bkgeom.cone import (DistributionFrame, algebra_action, contact_frame, cp_cone_model,
+                         induced_metric, j_m, random_type1_cone_model)
 from bkgeom.grading import cp_generator
 from bkgeom.curvature import KaehlerModel, complex_to_real_endo, to_real
 from bkgeom.fdgeom import ChartMetric
@@ -103,6 +104,44 @@ class TestTowerGeodesic:
         rep = verify_tower_geodesic(model, 0.3 + 0.1 * seed, samples=2, seed=seed)
         assert rep.max_ii <= 1e-3
         assert rep.min_control >= 0.05
+        assert rep.max_isometry_residual <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ii_is_second_order(self, n):
+        # the embedding mixes the ambient chart coordinates, so II is a
+        # finite-difference measurement of zero, not an exact zero by
+        # symmetry: it falls 4x when h halves
+        model = random_type1_cone_model(n, 0)
+        ii = [verify_tower_geodesic(model, 0.3, samples=2, fd_step=h, seed=0).max_ii
+              for h in (1e-2, 5e-3)]
+        assert 1.9 <= np.log2(ii[0] / ii[1]) <= 2.1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ii_is_second_order_for_an_aligned_frame(self, n, monkeypatch):
+        # eigh may return any orthonormal basis of a degenerate eigenspace,
+        # among them the ambient frame that extends [0; F] by e0, which makes
+        # E a coordinate injection; the fixed mixing keeps II second order
+        model = random_type1_cone_model(n, 0)
+
+        def aligned(P, cone):
+            if cone.n == n:
+                return contact_frame(P, cone)
+            F = contact_frame(P[1:], model).vectors
+            e0 = np.eye(n + 1, dtype=complex)[:, 0]
+            v0 = e0 / np.sqrt(induced_metric(P, e0, e0))
+            k = n - 1
+            cols = np.vstack([np.zeros((1, 2 * k)), F])
+            vectors = np.column_stack([cols[:, :k], v0, cols[:, k:], j_m(P, v0, cone)])
+            frame = DistributionFrame(P, vectors, cone)
+            assert np.abs(frame.metric_gram() - np.eye(2 * n)).max() <= 1e-12
+            assert np.abs(frame.matrix_of(lambda X: j_m(P, X, cone))
+                          - KaehlerModel(n).J).max() <= 1e-12
+            return frame
+
+        monkeypatch.setattr(tower, "contact_frame", aligned)
+        ii = [verify_tower_geodesic(model, 0.3, samples=2, fd_step=h, seed=0).ii_norms
+              for h in (1e-2, 5e-3)]
+        assert all(1.9 <= np.log2(a / b) <= 2.1 for a, b in zip(*ii))
 
     def test_one_christoffel_per_sample(self, monkeypatch):
         # II and its bump control share one ambient Christoffel symbol: 2D + 1
