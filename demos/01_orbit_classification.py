@@ -10,8 +10,8 @@ local invariant of the geometry the generator produces.
 
 import numpy as np
 
-from bkgeom import HermitianSpace, canonical_basis, char_poly, classify, random_su, wedge_j
-from bkgeom.hermitian import su_element
+from bkgeom.hermitian import HermitianSpace, random_su, su_element, wedge_j
+from bkgeom.orbits import canonical_basis, char_poly, classify
 
 space = HermitianSpace(3)
 np.set_printoptions(precision=4, suppress=True, linewidth=120)

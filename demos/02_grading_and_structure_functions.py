@@ -8,8 +8,8 @@ is an exact inverse of the assembly template.
 
 import numpy as np
 
-from bkgeom import HermitianSpace, assemble, cp_generator, grade_split, grading_basis, random_su, structure_functions
-from bkgeom.hermitian import su_element
+from bkgeom.grading import assemble, cp_generator, grade_split, grading_basis, structure_functions
+from bkgeom.hermitian import HermitianSpace, random_su, su_element
 
 np.set_printoptions(precision=4, suppress=True)
 

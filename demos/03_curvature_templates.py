@@ -8,8 +8,8 @@ for a single direction already forces rho = 0.
 
 import numpy as np
 
-from bkgeom import KaehlerModel, curvature_from_h, curvature_from_rho, direction_flat_check, fit_rho
-from bkgeom.curvature import unitary_algebra_basis
+from bkgeom.curvature import (KaehlerModel, curvature_from_h, curvature_from_rho,
+                              direction_flat_check, fit_rho, unitary_algebra_basis)
 
 np.set_printoptions(precision=4, suppress=True)
 n = 2

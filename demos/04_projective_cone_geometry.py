@@ -18,16 +18,10 @@ not a fit).
 
 import numpy as np
 
-from bkgeom import (
-    KaehlerModel,
-    contact_frame,
-    cp_cone_model,
-    quotient_chart,
-    sectional,
-    sigma_sample,
-    verify_curvature_prop,
-)
-from bkgeom.cone import random_type1_cone_model, rho_frame_matrix
+from bkgeom.cone import (contact_frame, cp_cone_model, quotient_chart, random_type1_cone_model,
+                         rho_frame_matrix, sigma_sample, verify_curvature_prop)
+from bkgeom.curvature import KaehlerModel
+from bkgeom.fdgeom import sectional
 
 np.set_printoptions(precision=4, suppress=True)
 

@@ -10,8 +10,8 @@ the checks have teeth.
 
 import numpy as np
 
-from bkgeom import cone_metric_chart,riemann, sasaki_residual, transversal_J
-from bkgeom.sasaki import cpn_pipeline, ellipsoid_chart, hopf_sphere
+from bkgeom.fdgeom import cone_metric_chart, riemann
+from bkgeom.sasaki import cpn_pipeline, ellipsoid_chart, hopf_sphere, sasaki_residual, transversal_J
 
 p = np.array([0.2, -0.1, 0.3])
 

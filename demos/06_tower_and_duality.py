@@ -11,10 +11,11 @@ element under the obvious identification of C^m with R^(2m).
 
 import numpy as np
 
-from bkgeom import HermitianSpace, duality_action_check, embed_generator, sp_square, verify_tower_geodesic
 from bkgeom.cone import cp_cone_model, random_type1_cone_model
 from bkgeom.grading import cp_generator
-from bkgeom.tower import random_sp
+from bkgeom.hermitian import HermitianSpace
+from bkgeom.tower import (duality_action_check, embed_generator, random_sp, sp_square,
+                          verify_tower_geodesic)
 
 np.set_printoptions(precision=4, suppress=True)
 

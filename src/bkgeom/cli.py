@@ -5,6 +5,10 @@ verify-prop | tower | duality | selftest.  All reports are deterministic
 JSON (sorted keys, full-precision floats): identical configuration and
 seed give byte-identical output.
 
+A cold start loads only what the subcommand runs: this module imports
+numpy, `hermitian` and `jsonio`, and each `_cmd_*` imports its own layers
+(classify needs `orbits`; selftest, every layer).
+
 Exit codes: 0 success, 2 validation failure or usage error, 3 malformed
 JSON input, 4 ill-conditioned tolerance decision.  Failures emit a
 machine-readable error object on stderr.
@@ -19,9 +23,8 @@ import sys
 
 import numpy as np
 
-from . import cone, curvature, grading, hermitian, jsonio, orbits, sasaki, tower
-from .orbits import IllConditionedError
-from .selftest import run_selftest
+from . import hermitian, jsonio
+from .hermitian import IllConditionedError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,6 +78,8 @@ def _su_input(args) -> hermitian.SuElement:
 
 
 def _cmd_classify(args) -> dict:
+    from . import orbits
+
     A = _su_input(args)
     es = orbits.eigenstructure(A, args.tol)
     ot = orbits.classify_from(A, args.tol, es)
@@ -92,6 +97,8 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_grade(args) -> dict:
+    from . import grading
+
     A = _su_input(args)
     basis = grading.grading_basis(A.space.n, validate=False)
     parts = grading.grade_split(A, basis)
@@ -112,6 +119,8 @@ def _cmd_grade(args) -> dict:
 
 
 def _cmd_charpoly(args) -> dict:
+    from . import orbits
+
     A = _su_input(args)
     pc = orbits.char_poly(A)
     return {
@@ -122,6 +131,8 @@ def _cmd_charpoly(args) -> dict:
 
 
 def _cmd_curvature(args) -> dict:
+    from . import curvature
+
     M = _read_matrix(args.matrix) if args.matrix else None
     if M is not None:
         n = M.shape[0]
@@ -145,12 +156,16 @@ def _cmd_curvature(args) -> dict:
 
 
 def _cmd_verify_cpn(args) -> dict:
+    from . import sasaki
+
     rep = sasaki.cpn_pipeline(args.n, args.fd_step, seed=args.seed,
                               samples=args.samples)
     return rep.to_dict()
 
 
-def _model_from_args(args) -> cone.ConeModel:
+def _model_from_args(args):
+    from . import cone
+
     sign = 1 if args.sigma_sign == "paper" else -1
     if args.matrix:
         M = _read_matrix(args.matrix)
@@ -170,6 +185,8 @@ def _model_from_args(args) -> cone.ConeModel:
 
 
 def _cmd_verify_prop(args) -> dict:
+    from . import cone
+
     model = _model_from_args(args)
     rep = cone.verify_curvature_prop(model, args.samples, args.fd_step, seed=args.seed)
     out = rep.to_dict()
@@ -180,6 +197,8 @@ def _cmd_verify_prop(args) -> dict:
 
 
 def _cmd_tower(args) -> dict:
+    from . import cone, tower
+
     model = cone.random_type1_cone_model(args.n, args.seed)
     rep = tower.verify_tower_geodesic(model, args.lambda0, samples=args.samples,
                                       fd_step=args.fd_step, seed=args.seed)
@@ -192,6 +211,8 @@ def _cmd_tower(args) -> dict:
 
 
 def _cmd_duality(args) -> dict:
+    from . import tower
+
     rng = np.random.default_rng(args.seed)
     worst = {"twisted_residual": 0.0, "untwisted_residual": 0.0,
              "sp_square_equivariance": 0.0}
@@ -208,6 +229,8 @@ def _cmd_duality(args) -> dict:
 
 
 def _cmd_selftest(args) -> dict:
+    from .selftest import run_selftest
+
     return run_selftest(seed=args.seed, scale=args.scale, fd_step=args.fd_step)
 
 

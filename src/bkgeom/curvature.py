@@ -55,23 +55,14 @@ class KaehlerModel:
         return float(np.dot(x, self.J @ y))
 
 
-def _unitary_algebra_residuals(h, model: KaehlerModel) -> tuple[float, float, float]:
-    """(||[h, J0]||, ||h + h^T||, max(1, ||h||)): the u(n) identities and their scale."""
+def _require_unitary_algebra(h, model: KaehlerModel, tol: float, name: str) -> None:
+    """Refuse h outside u(n) (commutes with J0, g0-skew), naming both residuals
+    and the threshold tol * max(1, ||h||)."""
     h = np.asarray(h, dtype=float)
     J = model.J
-    return (float(np.linalg.norm(h @ J - J @ h)), float(np.linalg.norm(h + h.T)),
-            max(1.0, float(np.linalg.norm(h))))
-
-
-def is_unitary_algebra(h, model: KaehlerModel, tol: float = 1e-10) -> bool:
-    """h in u(n): commutes with J0 and is g0-skew."""
-    commutator, skew, scale = _unitary_algebra_residuals(h, model)
-    return commutator <= tol * scale and skew <= tol * scale
-
-
-def _require_unitary_algebra(h, model: KaehlerModel, tol: float, name: str) -> None:
-    """Refuse h outside u(n), naming both residuals and the threshold."""
-    commutator, skew, scale = _unitary_algebra_residuals(h, model)
+    commutator = float(np.linalg.norm(h @ J - J @ h))
+    skew = float(np.linalg.norm(h + h.T))
+    scale = max(1.0, float(np.linalg.norm(h)))
     if not (commutator <= tol * scale and skew <= tol * scale):
         raise ValueError(
             f"{name} is not in u(n): ||[{name}, J0]|| {commutator:.6e}, "

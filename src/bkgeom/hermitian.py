@@ -148,6 +148,10 @@ class NonFiniteError(ValueError):
     """A matrix holds NaN or infinite entries, which no certificate may accept."""
 
 
+class IllConditionedError(RuntimeError):
+    """A classifier tolerance decision fell inside its dead band; refuse to classify."""
+
+
 def su_element(A, space: HermitianSpace, tol: float = DEFAULT_TOL) -> SuElement:
     """Certify A in su(n,1) or raise SuMembershipError.
 

@@ -36,17 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import HermitianSpace, SuElement
+from .hermitian import HermitianSpace, IllConditionedError, SuElement
 
 DEFAULT_CLASSIFY_TOL = 1e-8
 DEAD_BAND = 10.0
 # eigenvalues of a perturbed Jordan 3-block scatter like (machine eps)^(1/3);
 # clustering must not resolve that scatter into separate eigenvalues
 _CLUSTER_FLOOR = 25.0 * np.finfo(float).eps ** (1.0 / 3.0)
-
-
-class IllConditionedError(RuntimeError):
-    """A tolerance decision fell inside the dead band; refuse to classify."""
 
 
 @dataclass(frozen=True)

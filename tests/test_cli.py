@@ -303,6 +303,24 @@ class TestProcess:
         inproc = run_cli(*argv)
         assert (inproc.returncode, inproc.stdout, inproc.stderr) == (code, r.stdout, r.stderr)
 
+    def test_subcommands_load_only_their_layers(self, cp_matrix):
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from bkgeom.cli import main\n"
+            "def loaded():\n"
+            "    return sorted(m[7:] for m in sys.modules if m.startswith('bkgeom.'))\n"
+            "sets = [loaded()]\n"
+            f"for argv in (['classify', '-m', {cp_matrix!r}], ['curvature', '--n', '2']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "    sets.append(loaded())\n"
+            "print(json.dumps(sets))\n")
+        r = run_process("-c", script)
+        assert r.returncode == 0, r.stderr
+        base = ["cli", "hermitian", "jsonio"]
+        assert json.loads(r.stdout) == [base, sorted(base + ["orbits"]),
+                                        sorted(base + ["orbits", "curvature"])]
+
     def test_import_leaves_scipy_unloaded(self):
         r = run_process("-c", "import sys, bkgeom.cli; print('scipy' in sys.modules)")
         assert r.returncode == 0, r.stderr
