@@ -2,18 +2,20 @@
 
 A diagonal generator cuts a section out of the cone C^n - 0; the quotient
 of that section by the generator's flow carries a Kaehler metric whose
-curvature is the rho-map template.  For the equal-coefficient model the
-section is a round sphere of radius sqrt(2), the rho map is -J/2, and the
-quotient is projective space with holomorphic sectional curvature 2.
+curvature is a Bochner-Kaehler template.  For the equal-coefficient model
+the section is a round sphere of radius sqrt(2), the generator compressed
+onto the contact frame, rho_M = g(F, act F), is -J/2, and the quotient is
+projective space with holomorphic sectional curvature 2.
 
 The finite-difference oracle checks the curvature identity
 
-    R_fd = -2 * R_(rho/2 + |act p|^2 J / 4)
+    R_fd = R_(rho~/2),    rho~ = -2 rho_M - |act p|^2 J
 
-pointwise; the fixed global factor -2 is the measured normalization
-between the displayed template and the section conventions (it is the
-same for every model, which the negative control below demonstrates is
-not a fit).
+pointwise.  rho~ is derived in the tests from the Cahen-Schwachhoefer
+normal form of the generator at each point (the g^0 action of its
+structure function rho); no constant in it is fitted, and the
+wrong-coefficient control below (rho_M doubled) misses by orders of
+magnitude.
 """
 
 import numpy as np
@@ -40,7 +42,7 @@ print(f"contact frame: {frame.count} vectors, Gram deviation "
 
 M = rho_frame_matrix(frame)
 J0 = KaehlerModel(n - 1).J
-print(f"rho map in the frame: max |rho + J/2| = {np.abs(M + 0.5 * J0).max():.2e}")
+print(f"rho_M in the frame: max |rho_M + J/2| = {np.abs(M + 0.5 * J0).max():.2e}")
 
 chart = quotient_chart(frame)
 K = sectional(chart, np.zeros(frame.count), np.eye(frame.count)[0],

@@ -192,7 +192,6 @@ def _cmd_verify_prop(args) -> dict:
     out = rep.to_dict()
     out["lambdas"] = list(model.lambdas)
     out["sigma_sign"] = "paper" if model.sigma_sign == 1 else "flipped"
-    out["template_scale"] = cone.QUOTIENT_TEMPLATE_SCALE
     return out
 
 

@@ -17,13 +17,10 @@ Both quadric levels s = +1 and s = -1 are supported via `sigma_sign`;
 the equal-coefficient projective-space models only have solutions on the
 s = -1 branch, and the test suite records that this is the branch
 reproducing their geometry.  All geometric formulas below use the action
-matrix `act` (the trace-twisted generator), the reading under which the
-eta-correction vanishes on the projective-space model:
+matrix `act` (the trace-twisted generator):
 
     J_M(X)     = JX - (X, act p) p - ((X,p)/|p|^2) Jp
     g_D(X, Y)  = (X, Y) - (X,p)(Y,p)/|p|^2
-    eta        = act Jp - |act p|^2 p
-    rho(X)     = act X + (X, xi0) eta + (X, act^2 Jp) p,   xi0 = act p
 
 Each pointwise formula is one matrix expression on a column block: X and
 Y may be single vectors of shape (n,) or blocks of shape (n, k), and a
@@ -36,11 +33,13 @@ radially onto Sigma; slice tangents are projected onto the contact
 distribution along xi0 and paired with g_D.  The curvature of that chart
 metric is compared against the template
 
-    R approx QUOTIENT_TEMPLATE_SCALE * R_(rho/2 + |act p|^2 J / 4)
+    R = R_(rho~/2),    rho~ = -2 rho_M - |act p|^2 J,
 
-where QUOTIENT_TEMPLATE_SCALE = -2 is a single measured global
-normalization constant (model- and point-independent; see tests and the
-negative control in `verify_curvature_prop`).
+where rho_M = g(F, act F) is the generator compressed onto the contact
+frame F.  rho~ is the g^0 action rho + tr(rho)/2 of the structure
+function rho in the Cahen-Schwachhoefer normal form of the generator at
+p; the tests derive it from that normal form point by point, and
+`verify_curvature_prop` gates it against a wrong-coefficient control.
 
 Real coordinates stack Re over Im, matching the curvature module.
 """
@@ -54,10 +53,6 @@ import numpy as np
 from .curvature import KaehlerModel, curvature_from_rho
 from .fdgeom import ChartMetric, riemann
 from .hermitian import HermitianSpace, SuElement, su_element
-
-# global normalization between the finite-difference quotient curvature and
-# the rho-map template; measured once, asserted model-independent by tests
-QUOTIENT_TEMPLATE_SCALE = -2.0
 
 TRANSVERSALITY_THRESHOLD = 1e-6
 
@@ -142,7 +137,7 @@ class ConeModel:
     def coherent(self) -> "ConeModel":
         """The time direction in which the section formulas cohere.
 
-        The J_M / eta / rho formulas are mutually consistent exactly when
+        The J_M formula and the template rho~ are consistent exactly when
         (p, act Jp) = +1 on the section, i.e. on the quadric = -1 branch.
         A quadric = +1 model describes the same section with the reversed
         flow, so its geometry is computed through the negated generator.
@@ -200,14 +195,6 @@ def cone_lift(x) -> np.ndarray:
     return np.concatenate([x, [np.linalg.norm(x)]])
 
 
-def sphere_proj(x) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        raise ValueError("cannot project the zero vector")
-    return x / nx
-
-
 def group_action(G, x) -> np.ndarray:
     """U(n) action on the cone: x -> det(G) G x."""
     G = np.asarray(G, dtype=complex)
@@ -237,6 +224,9 @@ def sigma_sample(model: ConeModel, seed: int, count: int = 1) -> list[np.ndarray
         raise EmptySectionError("all action coefficients nonpositive; quadric empty")
     if model.target < 0 and np.all(alpha >= 0):
         raise EmptySectionError("all action coefficients nonnegative; quadric empty")
+    # a draw near the null cone of an indefinite quadric would scale out to
+    # large |p|; the floor bounds |p|^2 by 10 / max(alpha * target)
+    floor = 0.1 * float(np.max(alpha * model.target))
     rng = np.random.default_rng(seed)
     out = []
     guard = 0
@@ -246,7 +236,7 @@ def sigma_sample(model: ConeModel, seed: int, count: int = 1) -> list[np.ndarray
             raise EmptySectionError("rejection sampling failed to hit the quadric")
         v = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
         q = contact_form(model.act(v), v)
-        if q * model.target <= 1e-9:
+        if q * model.target <= floor * flat_inner(v, v):
             continue
         out.append(v * np.sqrt(model.target / q))
     return out
@@ -272,23 +262,6 @@ def j_m(p, X, model: ConeModel) -> np.ndarray:
 def induced_metric(p, X, Y):
     """Degenerate metric on Sigma; positive definite on the contact distribution."""
     return flat_inner(X, Y) - _along(flat_inner(X, p), flat_inner(Y, p)) / flat_inner(p, p)
-
-
-def eta_vector(p, model: ConeModel) -> np.ndarray:
-    model = model.coherent()
-    p = np.asarray(p, dtype=complex)
-    xi0 = model.act(p)
-    return model.act(1j * p) - flat_inner(xi0, xi0) * p
-
-
-def rho_map(p, X, model: ConeModel) -> np.ndarray:
-    """The curvature-generating endomorphism of the contact distribution."""
-    model = model.coherent()
-    p = np.asarray(p, dtype=complex)
-    X = np.asarray(X, dtype=complex)
-    xi0 = model.act(p)
-    return (model.act(X) + _along(eta_vector(p, model), flat_inner(X, xi0))
-            + _along(p, flat_inner(X, model.act(model.act(1j * p)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,26 +369,29 @@ def quotient_chart(frame: DistributionFrame) -> ChartMetric:
 
 
 def rho_frame_matrix(frame: DistributionFrame) -> np.ndarray:
-    p, model = frame.point, frame.model
-    return frame.matrix_of(lambda X: rho_map(p, X, model))
+    """rho_M = g(F, act F): the generator compressed onto the contact frame.
+
+    Skew and commuting with J0 up to roundoff: act is skew-hermitian and
+    the frame is J_M-adapted.
+    """
+    return flat_inner(frame.vectors, frame.model.act(frame.vectors))
 
 
 def curvature_template_at(frame: DistributionFrame,
                           half_rho: bool = True) -> np.ndarray:
-    """Template tensor scale * R_(rho/2 + |act p|^2 J/4) in frame coordinates.
+    """Template tensor R_(rho~/2), rho~ = -2 rho_M - |act p|^2 J0, in frame coordinates.
 
-    half_rho=False is the deliberately wrong variant (rho instead of
-    rho/2) used as a negative control.
+    half_rho=False is the deliberately wrong variant (rho_M doubled:
+    R of -2 rho_M - |act p|^2 J0 / 2) used as a negative control.
     """
     model = frame.model
-    m = model.n - 1
-    km = KaehlerModel(m)
+    km = KaehlerModel(model.n - 1)
     rho_m = rho_frame_matrix(frame)
     rho_m = 0.5 * (rho_m - rho_m.T)        # symmetrize away roundoff
-    coeff = 0.5 if half_rho else 1.0
+    coeff = 1.0 if half_rho else 2.0
     xi0 = model.act(frame.point)
-    total = coeff * rho_m + 0.25 * flat_inner(xi0, xi0) * km.J
-    return QUOTIENT_TEMPLATE_SCALE * curvature_from_rho(total, km, tol=1e-6).entries
+    total = -coeff * rho_m - 0.5 * flat_inner(xi0, xi0) * km.J
+    return curvature_from_rho(total, km, tol=1e-6).entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,7 +432,7 @@ class PropositionReport:
 
 def verify_curvature_prop(model: ConeModel, sample_points: int = 6, fd_step: float = 1e-4,
                           seed: int = 0) -> PropositionReport:
-    """Finite-difference curvature of the quotient chart vs the rho template.
+    """Finite-difference curvature of the quotient chart vs the rho~ template.
 
     The sample_points section points are drawn by seeded sampling on Sigma.
     Each report entry carries the relative residual of the matched template

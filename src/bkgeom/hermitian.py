@@ -14,9 +14,6 @@ Conventions used throughout the package:
   i.e. A^* H + H A = 0 where H is the Gram matrix of h; su(n,1) adds
   trace(A) = 0.  Membership is certified numerically with a recorded
   tolerance, never assumed.
-* Non-standard Gram matrices enter only through
-  :meth:`HermitianSpace.from_gram`, which re-diagonalizes to the
-  standard form diag(1, ..., 1, -1) and hands back the basis change.
 
 All values are immutable after construction and all functions are pure.
 """
@@ -44,7 +41,7 @@ _MIN_GAP = 0.25
 
 
 class HermitianSpaceError(ValueError):
-    """Raised for malformed spaces (wrong signature, non-hermitian Gram)."""
+    """Raised for a malformed space (n < 1)."""
 
 
 @dataclass(frozen=True)
@@ -64,26 +61,6 @@ class HermitianSpace:
     @property
     def dim(self) -> int:
         return self.n + 1
-
-    @classmethod
-    def from_gram(cls, gram) -> tuple["HermitianSpace", np.ndarray]:
-        """Re-diagonalize an arbitrary signature-(n,1) Gram matrix.
-
-        Returns (space, B) with B^* gram B = diag(1,...,1,-1); columns of B
-        are the new basis expressed in the old one.  Every computation in
-        this package happens in the standard basis.
-        """
-        G = np.asarray(gram, dtype=complex)
-        if np.linalg.norm(G - G.conj().T) > 1e-10 * max(1.0, np.linalg.norm(G)):
-            raise HermitianSpaceError("Gram matrix is not hermitian")
-        w, U = np.linalg.eigh(G)
-        order = np.argsort(-w)  # positives first, the single negative last
-        w, U = w[order], U[:, order]
-        n = G.shape[0] - 1
-        if np.sum(w > 0) != n or np.sum(w < 0) != 1:
-            raise HermitianSpaceError("Gram matrix does not have signature (n, 1)")
-        B = U / np.sqrt(np.abs(w))[None, :]
-        return cls(n), B
 
     # -- form evaluations ------------------------------------------------
 

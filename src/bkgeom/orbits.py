@@ -65,10 +65,6 @@ class OrbitType:
     epsilon: int | None           # +-1 for type 2, else None
     invariant_data: tuple
 
-    @property
-    def family(self) -> str:
-        return self.tag[0]
-
 
 def _matrix_scale(A: np.ndarray) -> float:
     return max(1.0, float(np.linalg.svd(A, compute_uv=False)[0]))

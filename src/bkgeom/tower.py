@@ -171,13 +171,6 @@ class DualityReport:
     untwisted_residual: float    # same comparison without the trace twist
     sq_equivariance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "twisted_residual": self.twisted_residual,
-            "untwisted_residual": self.untwisted_residual,
-            "sp_square_equivariance": self.sq_equivariance,
-        }
-
 
 def _unitary_flow(X, ts) -> np.ndarray:
     """exp(t X) for each t in ts, stacked, for a skew-hermitian X.

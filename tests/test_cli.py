@@ -257,7 +257,20 @@ class TestOtherCommands:
     def test_verify_prop(self):
         doc = json.loads(run_cli("verify-prop", "--n", "2", "--samples", "2").stdout)
         assert doc["max_residual"] <= 1e-3
-        assert doc["template_scale"] == -2.0
+        assert doc["min_control_ratio"] >= 10.0
+
+    def test_verify_prop_mixed_sign_generator(self, tmp_path):
+        # an indefinite quadric: the sampler keeps its points off the null
+        # cone, where the contact frame would degenerate
+        lam = np.random.default_rng(9).uniform(-1.0, 1.0, 2)
+        path = tmp_path / "mixed.json"
+        M = np.diag(np.append(1j * lam, -1j * lam.sum()))
+        path.write_text(jsonio.dumps(jsonio.matrix_to_json(M)))
+        r = run_cli("verify-prop", "-m", str(path), "--seed", "9", "--samples", "6")
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["max_residual"] <= 1e-3
+        assert doc["min_control_ratio"] >= 10.0
 
     def test_verify_prop_paper_sign_surfaces_empty_section(self):
         r = run_cli("verify-prop", "--n", "2", "--samples", "2",

@@ -142,9 +142,10 @@ class TestStructureFunctions:
     def test_projective_generator_measured_values(self):
         # Under the e_minus2/2 normalization the algebraic extraction of the
         # projective-space generator gives rho = (2/(n+1)) J, u = 0, f = 1 at
-        # scale -4.  The -J/2 value quoted for this geometry belongs to the
-        # geometric rho map on the cone section (see test_cone), not to this
-        # normalization; both are pinned so the discrepancy stays visible.
+        # scale -4.  The -J/2 value quoted for this geometry belongs to rho_M,
+        # the generator compressed onto a contact frame of the cone section;
+        # at a section point the normal form reads rho = i/(n+1) at scale -2
+        # (see test_cone).  Both are pinned so the difference stays visible.
         for n in (2, 3, 4):
             sp = HermitianSpace(n)
             gb = grading_basis(n)

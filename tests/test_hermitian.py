@@ -60,17 +60,9 @@ class TestHermForm:
         with pytest.raises(ValueError):
             sp.herm(np.ones(2), np.ones(3))
 
-    def test_from_gram_rediagonalizes(self):
-        rng = np.random.default_rng(5)
-        B0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        H = np.diag([1.0, 1.0, -1.0]).astype(complex)
-        G = B0.conj().T @ H @ B0
-        sp, B = HermitianSpace.from_gram(G)
-        assert np.linalg.norm(B.conj().T @ G @ B - sp.form_matrix) < 1e-10
-
-    def test_wrong_signature_rejected(self):
+    def test_dimension_below_one_rejected(self):
         with pytest.raises(HermitianSpaceError):
-            HermitianSpace.from_gram(np.eye(3))
+            HermitianSpace(0)
 
 
 class TestCheckSu:
