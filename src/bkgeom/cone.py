@@ -4,20 +4,21 @@ The adjoint cone of a maximal root element is modeled as C^n - 0 via the
 S^1-normalized null-vector representative (x, ||x||); its projectivization
 is S^(2n-1).  An element a of u(n) acts on the cone through the trace
 twist a + tr(a) I, written once, in `algebra_action`.  For the diagonal
-generator diag(i lam_1, ..., i lam_n, -i sigma) that is the action matrix
+generator diag(i lam_1, ..., i lam_n, -i sigma), sigma = sum lam_j, that is
+diag(i (lam_j + sigma)), and the paper's section of sign s = +-1 is the
+quadric sum_j (lam_j + sigma) |x_j|^2 = s.  The J_M formula and the
+template cohere only on the level -1; reversing the flow negates the
+quadric and keeps the section set, so a `ConeModel` fixes the flow once,
+when it is built: its action matrix is
 
-    act = diag(i (lam_j + sigma)),    sigma = sum lam_j,
+    act = diag(i alpha_j),    alpha_j = -s (lam_j + sigma),
 
-and it cuts out the section
+and every model's section is
 
-    Sigma = { x : sum_j (lam_j + sigma) |x_j|^2 = s },   s = +-1,
+    Sigma = { x : lambda(act x) = sum_j alpha_j |x_j|^2 = -1 },
 
-whose left side is lambda(act x), the contact form on xi0 = act x.
-Both quadric levels s = +1 and s = -1 are supported via `sigma_sign`;
-the equal-coefficient projective-space models only have solutions on the
-s = -1 branch, and the test suite records that this is the branch
-reproducing their geometry.  All geometric formulas below use the action
-matrix `act` (the trace-twisted generator):
+where lambda(act x) is the contact form on xi0 = act x.  All geometric
+formulas below use `act`:
 
     J_M(X)     = JX - (X, act p) p - ((X,p)/|p|^2) Jp
     g_D(X, Y)  = (X, Y) - (X,p)(Y,p)/|p|^2
@@ -92,30 +93,28 @@ def algebra_action(a, X) -> np.ndarray:
     return np.trace(a) * X + a @ X
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeModel:
-    """Diagonal type-1 generator data for the cone C^n - 0."""
+    """Diagonal type-1 generator data for the cone C^n - 0.
+
+    lambdas, sigma_sign and generator() describe the input: the section
+    sum_j (lam_j + sigma) |x_j|^2 = sigma_sign.  action is the twisted
+    generator, negated (the reversed flow) for sigma_sign = +1, so the
+    section is lambda(act x) = -1 for either sign.
+    """
 
     lambdas: np.ndarray
     sigma_sign: int = 1          # +1: quadric = +1 (as displayed); -1: flipped
-    action: np.ndarray = field(init=False, compare=False)  # diag(i alpha), the twisted generator
+    action: np.ndarray = field(init=False)  # diag(i alpha), alpha = -sigma_sign (lam + sigma)
 
     def __post_init__(self):
         lam = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
         object.__setattr__(self, "lambdas", lam)
         if self.sigma_sign not in (1, -1):
             raise ValueError("sigma_sign must be +-1")
-        object.__setattr__(self, "action", algebra_action(np.diag(1j * lam), np.eye(lam.size)))
-
-    def __eq__(self, other):
-        if not isinstance(other, ConeModel):
-            return NotImplemented
-        return (self.sigma_sign == other.sigma_sign
-                and np.array_equal(self.lambdas, other.lambdas))
-
-    def __hash__(self):
-        # tolist() hashes 0.0 and -0.0 alike, as array_equal compares them
-        return hash((tuple(self.lambdas.tolist()), self.sigma_sign))
+        oriented = -self.sigma_sign * lam
+        object.__setattr__(self, "action",
+                           algebra_action(np.diag(1j * oriented), np.eye(lam.size)))
 
     @property
     def n(self) -> int:
@@ -127,26 +126,8 @@ class ConeModel:
 
     @property
     def action_coefficients(self) -> np.ndarray:
-        """alpha_j = lam_j + sigma; the action is x_j -> i alpha_j x_j."""
-        return self.lambdas + self.sigma
-
-    @property
-    def target(self) -> float:
-        return float(self.sigma_sign)
-
-    def coherent(self) -> "ConeModel":
-        """The time direction in which the section formulas cohere.
-
-        The J_M formula and the template rho~ are consistent exactly when
-        (p, act Jp) = +1 on the section, i.e. on the quadric = -1 branch.
-        A quadric = +1 model describes the same section with the reversed
-        flow, so its geometry is computed through the negated generator.
-        (Equal-coefficient models land on the -1 branch directly, which
-        is where their projective-space geometry lives.)
-        """
-        if self.sigma_sign == -1:
-            return self
-        return ConeModel(-self.lambdas, sigma_sign=-1)
+        """alpha = -sigma_sign (lam + sigma): the action is x_j -> i alpha_j x_j."""
+        return self.action.diagonal().imag
 
     def generator(self) -> SuElement:
         diag = np.concatenate([1j * self.lambdas, [-1j * self.sigma]])
@@ -213,20 +194,25 @@ def contact_form(X, p):
 
 
 def sigma_membership(p, model: ConeModel) -> float:
-    """Signed residual of the section equation at p."""
-    return float(contact_form(model.act(p), p)) - model.target
+    """Signed residual of the section equation lambda(act p) = -1 at p."""
+    return float(contact_form(model.act(p), p)) + 1.0
 
 
 def sigma_sample(model: ConeModel, seed: int, count: int = 1) -> list[np.ndarray]:
-    """Deterministic points on Sigma by radial scaling of random directions."""
+    """Deterministic points on Sigma by radial scaling of random directions.
+
+    Each draw's coordinates are scaled by sqrt(min(1, M / |alpha_j|)),
+    M = max(-alpha), so no coefficient of the scaled quadric exceeds M in
+    size and a section whose negative part is small is still hit.
+    """
     alpha = model.action_coefficients
-    if model.target > 0 and np.all(alpha <= 0):
-        raise EmptySectionError("all action coefficients nonpositive; quadric empty")
-    if model.target < 0 and np.all(alpha >= 0):
-        raise EmptySectionError("all action coefficients nonnegative; quadric empty")
+    if np.all(alpha >= 0):
+        raise EmptySectionError("no negative action coefficient; section empty")
+    top = float(np.max(-alpha))
+    shape = np.sqrt(top / np.maximum(np.abs(alpha), top))
     # a draw near the null cone of an indefinite quadric would scale out to
-    # large |p|; the floor bounds |p|^2 by 10 / max(alpha * target)
-    floor = 0.1 * float(np.max(alpha * model.target))
+    # large |p|; the floor bounds |p|^2 by 10 / M
+    floor = 0.1 * top
     rng = np.random.default_rng(seed)
     out = []
     guard = 0
@@ -234,11 +220,11 @@ def sigma_sample(model: ConeModel, seed: int, count: int = 1) -> list[np.ndarray
         guard += 1
         if guard > 100000:
             raise EmptySectionError("rejection sampling failed to hit the quadric")
-        v = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
+        v = shape * (rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n))
         q = contact_form(model.act(v), v)
-        if q * model.target <= floor * flat_inner(v, v):
+        if -q <= floor * flat_inner(v, v):
             continue
-        out.append(v * np.sqrt(model.target / q))
+        out.append(v * np.sqrt(-1.0 / q))
     return out
 
 
@@ -252,7 +238,6 @@ def _along(v, c):
 
 def j_m(p, X, model: ConeModel) -> np.ndarray:
     """The lifted complex structure on the contact distribution of Sigma."""
-    model = model.coherent()
     p = np.asarray(p, dtype=complex)
     X = np.asarray(X, dtype=complex)
     return (1j * X - _along(p, flat_inner(X, model.act(p)))
@@ -313,7 +298,6 @@ def contact_frame(p, model: ConeModel) -> DistributionFrame:
     a + ib of J_M (J_B a = -b, J_B b = a), and the frame is B sqrt2 [a, -b].
     Raises TangencyError when xi0 fails the transversality threshold.
     """
-    model = model.coherent()
     p = np.asarray(p, dtype=complex)
     n = model.n
     if n < 2:
@@ -347,7 +331,7 @@ def quotient_chart(frame: DistributionFrame) -> ChartMetric:
     radially onto Sigma.  The metric is homogeneous in that radial factor,
     and lambda and g_D vanish on the radial direction, so it is taken at psi:
 
-        g(s) = (target / lambda(xi0)) g_D(psi; H, H),   xi0 = act psi,
+        g(s) = (-1 / lambda(xi0)) g_D(psi; H, H),   xi0 = act psi,
 
     with H = F - xi0 lambda(F) / lambda(xi0) the frame pushed into the
     contact distribution along xi0.
@@ -360,10 +344,10 @@ def quotient_chart(frame: DistributionFrame) -> ChartMetric:
         psi = p0 + F @ s.astype(complex)
         xi0 = model.act(psi)
         lam_xi = contact_form(xi0, psi)
-        if model.target * lam_xi <= 0.0:
+        if lam_xi >= 0.0:
             raise ChartFailureError("slice left the section's radial domain")
         H = F - _along(xi0, contact_form(F, psi) / lam_xi)
-        return (model.target / lam_xi) * induced_metric(psi, H, H)
+        return (-1.0 / lam_xi) * induced_metric(psi, H, H)
 
     return ChartMetric(frame.count, ev)
 

@@ -72,14 +72,6 @@ class HermitianSpace:
             raise ValueError("vector dimension does not match the space")
         return complex(y.conj() @ (self.form_matrix @ x))
 
-    def g(self, x, y) -> float:
-        """Real part of h: the pseudo-Riemannian inner product."""
-        return self.herm(x, y).real
-
-    def omega(self, x, y) -> float:
-        """Imaginary part of h: the symplectic form, omega(x,y) = g(x, Jy)."""
-        return self.herm(x, y).imag
-
 
 @dataclass(frozen=True, eq=False)
 class SuElement:
@@ -95,10 +87,6 @@ class SuElement:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-
-    def scaled(self, c: float) -> "SuElement":
-        """Rescale by a real constant (stays in su(n,1))."""
-        return SuElement(self.space, self.matrix * float(c), self.tolerance_used)
 
 
 def su_residuals(A, space: HermitianSpace) -> tuple[float, float, float]:

@@ -278,6 +278,35 @@ class TestOtherCommands:
         assert r.returncode == 2
         assert "empty" in json.loads(r.stderr)["error"]
 
+    @pytest.mark.parametrize("seed", [3, 12])
+    def test_verify_prop_small_positive_quadric_part(self, tmp_path, seed):
+        # the paper-sign quadric of these generators has one small positive
+        # coefficient (0.014 at seed 3); the sampler still hits it
+        lam = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+        path = tmp_path / "tiny.json"
+        M = np.diag(np.append(1j * lam, -1j * lam.sum()))
+        path.write_text(jsonio.dumps(jsonio.matrix_to_json(M)))
+        r = run_cli("verify-prop", "-m", str(path), "--sigma-sign", "paper",
+                    "--seed", str(seed), "--samples", "2")
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["max_residual"] <= 1e-3
+        assert doc["min_control_ratio"] >= 10.0
+
+    @pytest.mark.parametrize("entry, bump, message", [
+        ((0, 1), 0.1, "verify-prop expects a diagonal generator"),
+        ((0, 0), 0.1, "generator must be purely imaginary (type 1)"),
+        ((2, 2), 0.5j, "generator must be traceless"),
+    ])
+    def test_verify_prop_refuses_bad_generator(self, tmp_path, entry, bump, message):
+        M = np.diag([0.3j, 0.2j, -0.5j])
+        M[entry] += bump
+        path = tmp_path / "bad.json"
+        path.write_text(jsonio.dumps(jsonio.matrix_to_json(M)))
+        r = run_cli("verify-prop", "-m", str(path))
+        assert r.returncode == 2
+        assert json.loads(r.stderr) == {"error": message, "kind": "validation"}
+
     def test_verify_cpn(self):
         doc = json.loads(run_cli("verify-cpn", "--n", "1", "--samples", "2").stdout)
         assert doc["cone_flatness"] <= 1e-3

@@ -94,7 +94,8 @@ class TestActions:
         A0 = np.diag(1j * model.lambdas)
         x = np.array([1.0, 1.0, 1.0], dtype=complex)
         out = algebra_action(A0, x)
-        expected = 1j * model.action_coefficients * x
+        # the paper-sign model's action is the negated twisted generator
+        expected = -1j * model.action_coefficients * x
         assert np.abs(out - expected).max() < 1e-14
 
     def test_group_vs_algebra_derivative(self, expm_reference):
@@ -107,30 +108,6 @@ class TestActions:
         num = (group_action(expm_reference(t * a), x)
                - group_action(expm_reference(-t * a), x)) / (2 * t)
         assert np.abs(num - algebra_action(a, x)).max() < 1e-8
-
-
-class TestModelIdentity:
-    def test_equal_specs_compare_equal(self):
-        a, b = cp_cone_model(3), cp_cone_model(3)
-        assert a == b and hash(a) == hash(b)
-        assert ConeModel([0.0, 0.5]) == ConeModel([-0.0, 0.5])
-        assert hash(ConeModel([0.0, 0.5])) == hash(ConeModel([-0.0, 0.5]))
-
-    def test_changed_spec_compares_unequal(self):
-        model = random_type1_cone_model(3, 0)
-        moved = model.lambdas.copy()
-        moved[1] = np.nextafter(moved[1], np.inf)
-        assert model != ConeModel(moved, model.sigma_sign)
-        assert model != ConeModel(model.lambdas, -model.sigma_sign)
-        assert model != ConeModel(model.lambdas[:2], model.sigma_sign)
-        assert model != tuple(model.lambdas)
-
-    def test_set_member_and_dict_key(self):
-        models = {cp_cone_model(2), cp_cone_model(2), cp_cone_model(3),
-                  random_type1_cone_model(3, 0), random_type1_cone_model(3, 0)}
-        assert len(models) == 3
-        table = {cp_cone_model(3): "cp3"}
-        assert table[cp_cone_model(3)] == "cp3"
 
 
 class TestSection:
@@ -161,11 +138,12 @@ class TestSection:
     def test_transversality_is_the_section_value(self):
         model = random_type1_cone_model(2, 2)
         p = sigma_sample(model, 3, 1)[0]
-        assert contact_form(model.act(p), p) == pytest.approx(model.target, abs=1e-12)
+        assert contact_form(model.act(p), p) == pytest.approx(-1.0, abs=1e-12)
 
     def test_indefinite_quadric_points_stay_bounded(self):
         # mixed-sign action coefficients: accepted draws keep off the null
-        # cone, so |p|^2 <= 10 / max(alpha * target) and the frame builds
+        # cone, so |p|^2 <= 10 / max(-alpha) and the frame builds; only a
+        # quadric with no negative coefficient may be refused as empty
         checked = 0
         for n in (2, 3, 4):
             for seed in range(10):
@@ -175,8 +153,9 @@ class TestSection:
                     try:
                         points = sigma_sample(model, seed, 4)
                     except EmptySectionError:
+                        assert np.all(model.action_coefficients >= 0)
                         continue
-                    bound = 10.0 / np.max(model.action_coefficients * model.target)
+                    bound = 10.0 / np.max(-model.action_coefficients)
                     checked += len(points)
                     for p in points:
                         assert flat_inner(p, p) <= bound
@@ -201,11 +180,10 @@ class TestContactGeometry:
         assert self.frame.count == 2 * self.model.n - 2
 
     def test_frame_annihilates_constraints(self):
-        mc = self.model.coherent()
         for a in range(self.frame.count):
             X = self.frame.vectors[:, a]
             assert abs(flat_inner(X, 1j * self.p)) < 1e-10
-            assert abs(flat_inner(X, 1j * mc.act(self.p))) < 1e-10
+            assert abs(flat_inner(X, 1j * self.model.act(self.p))) < 1e-10
 
     def test_frame_orthonormal_and_j_adapted(self):
         G = self.frame.metric_gram()
@@ -221,10 +199,9 @@ class TestContactGeometry:
 
     def test_jm_reduces_to_j_when_corrections_vanish(self):
         # X orthogonal to both p and act(p): both corrections drop
-        mc = self.model.coherent()
         X = self.frame.vectors[:, 0]
         X = X - flat_inner(X, self.p) / flat_inner(self.p, self.p) * self.p
-        ap = mc.act(self.p)
+        ap = self.model.act(self.p)
         X = X - flat_inner(X, ap) / flat_inner(ap, ap) * ap
         if abs(flat_inner(X, self.p)) < 1e-12 and abs(flat_inner(X, ap)) < 1e-12:
             assert np.abs(j_m(self.p, X, self.model) - 1j * X).max() < 1e-9
@@ -284,7 +261,6 @@ def test_frame_properties_across_models_and_signs(n):
             except EmptySectionError:
                 continue
             signs.add(model.sigma_sign)
-            xi = model.coherent().act
             for p in points:
                 frame = contact_frame(p, model)
                 F = frame.vectors
@@ -292,7 +268,7 @@ def test_frame_properties_across_models_and_signs(n):
                 assert np.abs(frame.metric_gram() - np.eye(2 * n - 2)).max() <= 1e-9
                 assert np.abs(frame.matrix_of(lambda X: j_m(p, X, model)) - J0).max() <= 1e-9
                 assert np.abs(flat_inner(F, 1j * p)).max() <= 1e-10
-                assert np.abs(flat_inner(F, 1j * xi(p))).max() <= 1e-10
+                assert np.abs(flat_inner(F, 1j * model.act(p))).max() <= 1e-10
     assert signs == {1, -1}
 
 
@@ -305,12 +281,11 @@ class TestRhoMap:
     def test_skewness_matches_generator(self):
         # rho_M[a, b] = g(F_a, act F_b); act is skew-hermitian, so rho_M is
         # skew on the distribution
-        mc = self.model.coherent()
         M = rho_frame_matrix(self.frame)
         for a in range(self.frame.count):
             for b in range(self.frame.count):
                 X, Y = self.frame.vectors[:, a], self.frame.vectors[:, b]
-                assert abs(M[a, b] - flat_inner(X, mc.act(Y))) < 1e-12
+                assert abs(M[a, b] - flat_inner(X, self.model.act(Y))) < 1e-12
         assert np.abs(M + M.T).max() < 1e-9
 
     def test_commutes_with_jm(self):
@@ -457,19 +432,18 @@ class TestCurvatureProposition:
         for n in (2, 3, 4, 5):
             for model in (cp_cone_model(n), random_type1_cone_model(n, 40 + n)):
                 frame = contact_frame(sigma_sample(model, n, 1)[0], model)
-                mc = frame.model
                 chart = quotient_chart(frame)
 
                 def slice_point(s):
                     psi = frame.point + frame.vectors @ s
-                    return np.sqrt(mc.target / contact_form(mc.act(psi), psi)) * psi
+                    return np.sqrt(-1.0 / contact_form(model.act(psi), psi)) * psi
 
                 rng = np.random.default_rng(n)
                 for _ in range(3):
                     s = rng.standard_normal(frame.count)
                     s *= 0.4 / np.linalg.norm(s)
                     q = slice_point(s)
-                    xi0 = mc.act(q)
+                    xi0 = model.act(q)
                     T = central_partials(slice_point, s, 1e-5).T
                     H = T - np.multiply.outer(xi0, contact_form(T, q) / contact_form(xi0, q))
                     g = chart.at(s)
@@ -548,7 +522,8 @@ def cs_normal_form(frame, g1_step: bool = True):
     space = HermitianSpace(n)
     H = space.form_matrix
     unitary = float(np.abs(g.conj().T @ H @ g - H).max())
-    N = np.linalg.solve(g, model.generator().matrix @ g)
+    # the generator oriented along the section's flow, as the model's action is
+    N = np.linalg.solve(g, -model.sigma_sign * model.generator().matrix @ g)
     basis = grading_basis(n, validate=False)
     I = np.eye(n + 1)
     c = basis.line_coefficient(N, -2)
@@ -563,9 +538,10 @@ def cs_normal_form(frame, g1_step: bool = True):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(n=st.integers(2, 4), seed=st.integers(0, 10**6))
 def test_sign_flip_describes_one_section(n, seed):
-    # (lam, +1) and (-lam, -1) cut out one section with reversed flows: the
+    # (lam, +1) and (-lam, -1) cut out one section: the models' actions, the
     # sampled points, residuals and control residuals agree bit for bit
     lam = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    assert np.array_equal(ConeModel(lam, 1).action, ConeModel(-lam, -1).action)
     try:
         a = verify_curvature_prop(ConeModel(lam, 1), 2, 1e-4, seed=seed)
     except EmptySectionError:

@@ -125,7 +125,7 @@ class TestStructureFunctions:
         rng = np.random.default_rng(0)
         rho, u, f = random_structure(rng, 2)
         el = su_element(assemble(rho, u, f, gb), sp)
-        scaled = el.scaled(-0.25)
+        scaled = su_element(-0.25 * el.matrix, el.space)
         sf = structure_functions(scaled, gb)
         assert sf.scale == pytest.approx(-4.0)
         assert np.abs(sf.rho - rho).max() < 1e-10

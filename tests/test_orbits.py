@@ -126,7 +126,7 @@ class TestClassify:
         for profile in EXPECTED_TAG:
             A = random_su(2, sp, profile)
             t0 = classify(A)
-            ts = classify(A.scaled(3.7))
+            ts = classify(su_element(3.7 * A.matrix, A.space))
             assert (ts.tag, ts.epsilon) == (t0.tag, t0.epsilon)
 
     def test_type4_eigenvalues_pair(self):
@@ -186,10 +186,10 @@ def test_classify_invariances(A, conj_seed, c):
     # the orbit type is a conjugacy invariant and blind to positive scale;
     # a negative scale reverses the chain pairing, so 2a and 2b trade places
     t0 = classify(A)
-    for B in (conjugated(A, conj_seed), A.scaled(c)):
+    for B in (conjugated(A, conj_seed), su_element(c * A.matrix, A.space)):
         t = classify(B)
         assert (t.tag, t.epsilon) == (t0.tag, t0.epsilon)
-    t = classify(A.scaled(-c))
+    t = classify(su_element(-c * A.matrix, A.space))
     assert t.tag == NEGATED_TAG[t0.tag]
     assert t.epsilon == (None if t0.epsilon is None else -t0.epsilon)
 

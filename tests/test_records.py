@@ -13,6 +13,7 @@ def proposition_report():
 
 
 RECORDS = {
+    "ConeModel": lambda: cone.cp_cone_model(2),
     "SuElement": lambda: hermitian.random_su(0, SP, "rank1"),
     "CharPoly": lambda: orbits.char_poly(grading.cp_generator(SP)),
     "CanonicalBasis": lambda: orbits.canonical_basis(grading.cp_generator(SP)),
