@@ -203,13 +203,19 @@ def sigma_sample(model: ConeModel, seed: int, count: int = 1) -> list[np.ndarray
 
     Each draw's coordinates are scaled by sqrt(min(1, M / |alpha_j|)),
     M = max(-alpha), so no coefficient of the scaled quadric exceeds M in
-    size and a section whose negative part is small is still hit.
+    size and a section whose negative part is small is still hit.  The
+    coordinates of the k positive coefficients are further divided by
+    sqrt(k) (exactly 1 for k <= 1), so their summed weight stays that of
+    one coordinate and the acceptance rate does not fall geometrically
+    in k.
     """
     alpha = model.action_coefficients
     if np.all(alpha >= 0):
         raise EmptySectionError("no negative action coefficient; section empty")
     top = float(np.max(-alpha))
+    positive = alpha > 0
     shape = np.sqrt(top / np.maximum(np.abs(alpha), top))
+    shape[positive] /= np.sqrt(max(1, int(np.sum(positive))))
     # a draw near the null cone of an indefinite quadric would scale out to
     # large |p|; the floor bounds |p|^2 by 10 / M
     floor = 0.1 * top

@@ -18,9 +18,11 @@ with (X ^ Y)Z = g(X,Z)Y - g(Y,Z)X and the circle product
 Whether the two agree exactly or up to a constant is measured by the test
 suite rather than assumed (they agree exactly; see tests).  A metric is
 Bochner-Kaehler iff its curvature lies in the image of rho |-> R_rho,
-which `fit_rho` decides by least squares.  The circle product and both
-templates broadcast over leading axes, so one call evaluates every basis
-pair of a tensor, or every element of the u(n) basis at once.
+which `fit_rho` decides by least squares: it applies the pseudo-inverse
+from one thin SVD of that map's design matrix, taken once per n and
+cached.  The circle product and both templates broadcast over leading
+axes, so one call evaluates every basis pair of a tensor, or every
+element of the u(n) basis at once.
 
 Tensors are stored dense as R[i,j,k,l] = g(R(e_i, e_j) e_k, e_l).
 """
@@ -50,9 +52,6 @@ class KaehlerModel:
         J[:n, n:] = -np.eye(n)
         J[n:, :n] = np.eye(n)
         return J
-
-    def omega(self, x, y) -> float:
-        return float(np.dot(x, self.J @ y))
 
 
 def _require_unitary_algebra(h, model: KaehlerModel, tol: float, name: str) -> None:
@@ -215,44 +214,56 @@ def curvature_from_rho(rho, model: KaehlerModel, tol: float = 1e-10) -> Curvatur
         model, lambda X, Y: rho_template_endo(rho, X, Y, model)))
 
 
-@functools.lru_cache(maxsize=None)   # an entry holds 128 n^6 bytes: 0.5 MB at n = 4
-def _rho_design(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The u(n) basis (n^2, 2n, 2n) and the (2n)^4 x n^2 design matrix of rho |-> R_rho.
+def _lstsq_rank(s, shape) -> int:
+    """Singular values above lstsq's default cutoff eps * max(shape) * s_0."""
+    return int(np.sum(s > np.finfo(float).eps * max(shape) * s[0]))
 
-    Column a is R_rho for rho = basis[a], flattened.  Both are read-only:
-    every caller shares them.
+
+@functools.lru_cache(maxsize=None)   # an entry holds 256 n^6 bytes: 1 MB at n = 4
+def _rho_design(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The u(n) basis (n^2, 2n, 2n), the (2n)^4 x n^2 design matrix of
+    rho |-> R_rho, its pseudo-inverse and its singular values (descending).
+
+    Column a of the design is R_rho for rho = basis[a], flattened.  The
+    pseudo-inverse comes from one thin SVD and inverts only the singular
+    values above lstsq's default cutoff eps * max(shape) * s_0.  All four
+    arrays are read-only: every caller shares them.
     """
     model = KaehlerModel(n)
     basis = np.array(unitary_algebra_basis(n))
     design = _tensor_from_pair_endos(
         model, lambda X, Y: rho_template_endo(basis[:, None], X, Y, model)
     ).reshape(len(basis), -1).T
-    for shared in (basis, design):
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = _lstsq_rank(s, design.shape)
+    pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+    for shared in (basis, design, pinv, s):
         shared.setflags(write=False)
-    return basis, design
+    return basis, design, pinv, s
 
 
 def fit_rho(R: CurvatureTensor, model: KaehlerModel | None = None):
-    """Least-squares inverse of rho |-> R_rho.
+    """Least-squares inverse of rho |-> R_rho by the cached pseudo-inverse.
 
     Returns (rho, residual): rho minimizing ||R - R_rho||_F and the attained
     Frobenius residual.  The normal equations are strictly convex (the map
-    is injective; see `rho_map_rank`), so the minimizer is unique.
+    is injective; see `rho_map_rank`), so the minimizer is unique; a design
+    with a singular value at or below lstsq's default cutoff is refused.
     """
     model = model or KaehlerModel(R.n)
-    basis, A = _rho_design(model.n)
-    coef, _, rank, _ = np.linalg.lstsq(A, R.entries.ravel(), rcond=None)
-    if rank < len(basis):
+    basis, A, pinv, s = _rho_design(model.n)
+    if _lstsq_rank(s, A.shape) < len(basis):
         raise np.linalg.LinAlgError("curvature template family is rank-deficient")
+    target = R.entries.ravel()
+    coef = pinv @ target
     rho = np.tensordot(coef, basis, axes=1)
-    resid = float(np.linalg.norm(A @ coef - R.entries.ravel()))
+    resid = float(np.linalg.norm(A @ coef - target))
     return rho, resid
 
 
 def rho_map_rank(model: KaehlerModel) -> tuple[int, int]:
     """(numerical rank, expected rank n^2) of the linear map rho -> R_rho."""
-    basis, A = _rho_design(model.n)
-    s = np.linalg.svd(A, compute_uv=False)
+    basis, _, _, s = _rho_design(model.n)
     rank = int(np.sum(s > 1e-8 * s[0]))
     return rank, len(basis)
 
@@ -282,7 +293,7 @@ def direction_flat_check(rho, X0, model: KaehlerModel) -> DirectionFlatReport:
     X0 = X0 / np.linalg.norm(X0)
     JX0 = model.J @ X0
     E = rho_template_endo(rho, X0, JX0, model)
-    basis, A = _rho_design(model.n)
+    basis, A, _, _ = _rho_design(model.n)
     # column a is R_(basis[a])(X0, JX0), read off the design matrix
     cols = np.einsum("ijka,i,j->ka", A.reshape(X0.size, X0.size, -1, len(basis)), X0, JX0)
     s = np.linalg.svd(cols, compute_uv=False)

@@ -163,6 +163,18 @@ class TestSection:
                         contact_frame(p, model)
         assert checked >= 100
 
+    @pytest.mark.parametrize("n", [16, 20, 32])
+    def test_one_negative_against_many_positive(self, n):
+        # alpha = (-1, 1, ..., 1): the positive coordinates share one
+        # coordinate's weight, so the guard is not exhausted at large n
+        a = np.ones(n)
+        a[0] = -1.0
+        model = ConeModel(a - a.sum() / (n + 1), -1)
+        assert np.allclose(model.action_coefficients, a)
+        for p in sigma_sample(model, 0, 3):
+            assert flat_inner(p, p) <= 10.0
+            assert abs(sigma_membership(p, model)) <= 1e-12
+
     def test_direct_quadric_solve(self):
         # lam = (1, 0): alpha = (2, 1); p = (1/sqrt(2), 0) sits on the surface
         model = ConeModel(np.array([1.0, 0.0]), sigma_sign=1)

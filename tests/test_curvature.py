@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from bkgeom import curvature
 from bkgeom.curvature import (
+    CurvatureTensor,
     KaehlerModel,
     circle,
     curvature_from_h,
@@ -16,6 +18,20 @@ from bkgeom.curvature import (
 def random_un(rng, n):
     basis = unitary_algebra_basis(n)
     return sum(rng.standard_normal() * b for b in basis)
+
+
+def omega(x, y, km):
+    """The flat Kaehler form omega0(x, y) = g0(x, J0 y)."""
+    return float(x @ km.J @ y)
+
+
+def random_pair_symmetric(rng, n):
+    """A random tensor with the pair symmetries of a curvature tensor; not BK."""
+    d = 2 * n
+    T = rng.standard_normal((d, d, d, d))
+    T = T - np.swapaxes(T, 0, 1)
+    T = T - np.swapaxes(T, 2, 3)
+    return CurvatureTensor(n, T + np.transpose(T, (2, 3, 0, 1)))
 
 
 class TestCircle:
@@ -39,9 +55,9 @@ class TestCircle:
         X = Y = e1
         J = km.J
         Z = e2
-        expected = (km.omega(X, Z) * Y + km.omega(Y, Z) * X
-                    + km.omega(J @ X, Z) * (J @ Y) + km.omega(J @ Y, Z) * (J @ X)
-                    + km.omega(J @ X, Y) * (J @ Z))
+        expected = (omega(X, Z, km) * Y + omega(Y, Z, km) * X
+                    + omega(J @ X, Z, km) * (J @ Y) + omega(J @ Y, Z, km) * (J @ X)
+                    + omega(J @ X, Y, km) * (J @ Z))
         got = circle(X, Y, km) @ Z
         assert np.abs(got - expected).max() < 1e-14
         # and the commutation with J holds
@@ -55,8 +71,8 @@ class TestCircle:
         for _ in range(20):
             X, Y, Z = (rng.standard_normal(6) for _ in range(3))
             lhs = circle(X, Y, km) @ Z - circle(X, Z, km) @ Y
-            rhs = (2 * km.omega(Y, Z) * X - km.omega(X, Y) * Z
-                   + km.omega(X, Z) * Y)
+            rhs = (2 * omega(Y, Z, km) * X - omega(X, Y, km) * Z
+                   + omega(X, Z, km) * Y)
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -133,7 +149,7 @@ class TestTemplates:
 
 
 class TestFitRho:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_round_trip(self, n):
         km = KaehlerModel(n)
         rng = np.random.default_rng(20 + n)
@@ -152,18 +168,64 @@ class TestFitRho:
     def test_generic_tensor_has_positive_residual(self):
         # a random pair-symmetric tensor is not Bochner-Kaehler
         km = KaehlerModel(2)
-        rng = np.random.default_rng(6)
-        d = 4
-        T = rng.standard_normal((d, d, d, d))
-        T = T - np.swapaxes(T, 0, 1)
-        T = T - np.swapaxes(T, 2, 3)
-        T = T + np.transpose(T, (2, 3, 0, 1))
-        from bkgeom.curvature import CurvatureTensor
+        R = random_pair_symmetric(np.random.default_rng(6), 2)
+        _, resid = fit_rho(R, km)
+        assert resid > 1e-2 * np.abs(R.entries).max()
 
-        _, resid = fit_rho(CurvatureTensor(2, T), km)
-        assert resid > 1e-2 * np.abs(T).max()
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_lstsq_reference(self, n):
+        # the cached pseudo-inverse gives lstsq's minimizer and residual on
+        # tensors off the template family (at n = 1 every such tensor is on
+        # it, so the residual is compared against the tensor's norm)
+        km = KaehlerModel(n)
+        basis = np.array(unitary_algebra_basis(n))
+        A = np.stack([curvature_from_rho(b, km).entries.ravel() for b in basis], axis=1)
+        rng = np.random.default_rng(40 + n)
+        for _ in range(5):
+            R = random_pair_symmetric(rng, n)
+            coef, *_ = np.linalg.lstsq(A, R.entries.ravel(), rcond=None)
+            rho_ref = np.tensordot(coef, basis, axes=1)
+            resid_ref = np.linalg.norm(A @ coef - R.entries.ravel())
+            rho, resid = fit_rho(R, km)
+            assert np.linalg.norm(rho - rho_ref) <= 1e-12 * np.linalg.norm(rho_ref)
+            assert abs(resid - resid_ref) <= 1e-12 * max(resid_ref, np.linalg.norm(R.entries))
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fit_runs_no_lstsq(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_rho called np.linalg.lstsq")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        km = KaehlerModel(n)
+        rho = random_un(np.random.default_rng(50 + n), n)
+        fit, resid = fit_rho(curvature_from_rho(rho, km), km)
+        assert np.abs(fit - rho).max() < 1e-9
+        assert resid < 1e-9
+
+    def test_one_factorization_per_n(self):
+        curvature._rho_design.cache_clear()
+        km = KaehlerModel(3)
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            fit_rho(curvature_from_rho(random_un(rng, 3), km), km)
+        rho_map_rank(km)
+        assert curvature._rho_design.cache_info().misses == 1
+
+    def test_rank_deficient_design_is_refused(self, monkeypatch):
+        # a repeated basis element gives the design a zero singular value
+        basis = unitary_algebra_basis(2)
+        monkeypatch.setattr(curvature, "unitary_algebra_basis",
+                            lambda n: basis[:-1] + basis[:1])
+        curvature._rho_design.cache_clear()
+        try:
+            km = KaehlerModel(2)
+            with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+                fit_rho(curvature_from_rho(np.zeros((4, 4)), km), km)
+            assert rho_map_rank(km) == (3, 4)
+        finally:
+            curvature._rho_design.cache_clear()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_template_map_is_injective(self, n):
         rank, expected = rho_map_rank(KaehlerModel(n))
         assert rank == expected
