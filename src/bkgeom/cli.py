@@ -256,6 +256,14 @@ def _real(rule: str, ok):
     return parse
 
 
+class _Given(argparse.Action):
+    """Store the option's value and add its dest to `given`, the options on the command line."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 class _JsonErrorParser(argparse.ArgumentParser):
     """Usage errors go to stderr as the JSON error object, with exit code 2."""
 
@@ -295,6 +303,9 @@ _COMMANDS = [
     ("selftest", _cmd_selftest, ("seed", "scale", "fd_step")),
 ]
 
+# options that only steer a seeded fallback, which --matrix replaces
+_NOT_WITH_MATRIX = {"curvature": ("n", "seed"), "verify-prop": ("n",)}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = _JsonErrorParser(
@@ -306,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         for opt in options:
             flags, kwargs = _OPTIONS[opt]
-            sp.add_argument(*flags, **kwargs)
+            sp.add_argument(*flags, action=_Given, **kwargs)
         sp.add_argument("--out", default=None, help="also write the report here")
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=fn, given=frozenset())
     # the selftest report is pinned to seed 42; set_defaults overrides --seed's 0
     sub.choices["selftest"].set_defaults(seed=42)
     return p
@@ -321,6 +332,10 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for dest in _NOT_WITH_MATRIX.get(args.command, ()):
+        if args.matrix is not None and dest in args.given:
+            return _fail("usage", f"bkgeom {args.command}: argument --{dest}: not allowed "
+                         "with argument --matrix/-m", EXIT_VALIDATION)
     # matrix-taking commands require -m except curvature/verify-prop, which
     # have seeded fallbacks
     if getattr(args, "matrix", "unset") is None and args.command in (

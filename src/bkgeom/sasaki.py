@@ -7,20 +7,22 @@ checkable case: odd round spheres with the circle-action field xi(z) = iz,
 whose cone is flat and whose quotient is complex projective space with
 constant holomorphic sectional curvature.
 
-Charts are inverse-stereographic, a single smooth chart that misses one
-pole (the pole preimage sits at infinity, so bounded samples stay clear
-of it).  All differential-geometric quantities come from the fdgeom
-finite-difference oracle.
+Sphere charts are inverse-stereographic, a single smooth chart that misses
+one pole (the pole preimage sits at infinity, so bounded samples stay clear
+of it).  The quotient CP^n is the cone layer's `quotient_chart` of the unit
+sphere, the section of the `ConeModel` with action -i x.  All
+differential-geometric quantities come from the fdgeom finite-difference
+oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cone import flat_inner
+from .cone import ConeModel, contact_frame, quotient_chart, sigma_sample
 from .curvature import KaehlerModel
 from .fdgeom import (ChartMetric, central_partials, christoffel, cone_metric_chart, riemann,
                      sectional)
@@ -170,9 +172,9 @@ def transversal_J(data: SasakiData, p, step: float = 1e-4):
         xiq = np.asarray(data.xi(q))
         # (nabla_i xi)^k = d_i xi^k + Gamma^k_im xi^m
         nab = dxi.T + np.einsum("kim,m->ki", Gam, xiq)
-        return -nab
+        return -nab, Gam
 
-    J = J_at(p)
+    J, Gam = J_at(p)   # Gam at p serves the covariant derivative below too
 
     # contact hyperplane: g-orthogonal complement of xi
     gxi = g @ xv
@@ -185,8 +187,7 @@ def transversal_J(data: SasakiData, p, step: float = 1e-4):
     # (nabla_X J) Y for hyperplane pairs X = D_a, Y = D_b, with Y extended
     # coordinate-constant: d_X(J Y) + Gamma(X, J Y) - J Gamma(X, Y); dJ[a]
     # differences J at p +- step D_a
-    Gam = christoffel(data.chart, p, step)
-    dJ = central_partials(lambda s: J_at(p + D @ s), np.zeros(d - 1), step)
+    dJ = central_partials(lambda s: J_at(p + D @ s)[0], np.zeros(d - 1), step)
     diff = (dJ @ D + np.einsum("kim,ia,mb->akb", Gam, D, J @ D)
             - J @ np.einsum("kim,ia,mb->akb", Gam, D, D))
     # the parallelism statement lives on D: (nabla_X J)Y has only a
@@ -196,34 +197,23 @@ def transversal_J(data: SasakiData, p, step: float = 1e-4):
     return J, TransversalReport(square_res, contact_res, nabJ)
 
 
-# -- projective quotient chart -------------------------------------------------
+# -- the projective quotient ---------------------------------------------------
 
 
-def cpn_quotient_chart(n: int) -> ChartMetric:
-    """Riemannian submersion metric of the unit S^(2n+1) / circle action.
+def quotient_hs_curvatures(model: ConeModel, rng: np.random.Generator, count: int,
+                           fd_step: float = 1e-4) -> np.ndarray:
+    """Holomorphic sectional curvatures K(X, J0 X) of Sigma / flow at `count` section points.
 
-    Affine chart w in C^n |-> z = (w, 1)/|(w, 1)|; tangent vectors
-    are lifted, projected onto the horizontal space {z, iz}^perp and paired
-    with the ambient metric.  Real coordinates stack Re(w) over Im(w).
-    The 2n coordinate directions are one (n+1, 2n) column block, and the
-    metric is one Gram product.
+    Each is read at the centre of a point's quotient chart, where the complex
+    structure is exactly J0; rng draws the sample seed and each direction X.
     """
-    dzl = np.zeros((n + 1, 2 * n), dtype=complex)   # the affine lift's differential
-    dzl[:n] = np.hstack([np.eye(n), 1j * np.eye(n)])
-
-    def ev(p):
-        w = p[:n] + 1j * p[n:]
-        zl = np.concatenate([w, [1.0]])
-        nz = np.linalg.norm(zl)
-        z = zl / nz
-        # differential of the normalized lift applied to the coordinate directions
-        dz = dzl / nz - np.outer(zl, flat_inner(zl, dzl)) / nz ** 3
-        # horizontal projection: remove components along z and iz
-        dz = dz - np.outer(z, flat_inner(z, dz))
-        dz = dz - np.outer(1j * z, flat_inner(1j * z, dz))
-        return flat_inner(dz, dz)
-
-    return ChartMetric(2 * n, ev)
+    J0 = KaehlerModel(model.n - 1).J
+    ks = []
+    for p in sigma_sample(model, int(rng.integers(2 ** 31)), count):
+        chart = quotient_chart(contact_frame(p, model))
+        X = rng.standard_normal(chart.dim)
+        ks.append(sectional(chart, np.zeros(chart.dim), X, J0 @ X, fd_step))
+    return np.array(ks)
 
 
 # -- the full pipeline ---------------------------------------------------------
@@ -268,31 +258,23 @@ def cone_relation_residual(base: ChartMetric, x, step: float = 1e-4) -> float:
 
 def cpn_pipeline(n: int, fd_step: float = 1e-4, seed: int = 0,
                  samples: int = 3) -> PipelineReport:
-    """Round S^(2n+1) -> Sasaki residuals -> flat cone -> CP^n curvature constancy."""
+    """Round S^(2n+1) -> Sasaki residuals -> flat cone -> CP^n curvature constancy.
+
+    CP^n is the quotient of the same unit sphere, the section of action -i x.
+    """
     rng = np.random.default_rng(seed)
     m = 2 * n + 1
     data = hopf_sphere(m, 1.0)
+    cone = cone_metric_chart(data.chart)
 
-    worst = SasakiReport(0.0, 0.0, 0.0)
-    flat = 0.0
-    relation = 0.0
+    worst, flat, relation = np.zeros(3), 0.0, 0.0
     for _ in range(samples):
         x = rng.uniform(-0.6, 0.6, m)
-        rep = sasaki_residual(data, x, fd_step)
-        worst = SasakiReport(max(worst.unit_residual, rep.unit_residual),
-                             max(worst.killing_residual, rep.killing_residual),
-                             max(worst.identity_residual, rep.identity_residual))
-        cone = cone_metric_chart(data.chart)
+        worst = np.maximum(worst, astuple(sasaki_residual(data, x, fd_step)))
         Rc = riemann(cone, np.concatenate([x, [1.0 + 0.2 * rng.uniform()]]), fd_step)
         flat = max(flat, float(np.abs(Rc).max()))
         relation = max(relation, cone_relation_residual(data.chart, x, fd_step))
 
-    chart = cpn_quotient_chart(n)
-    J0 = KaehlerModel(n).J   # in the affine chart the complex structure is the coordinate one
-    ks = []
-    for _ in range(max(samples, 3)):
-        p = rng.uniform(-0.5, 0.5, 2 * n)
-        X = rng.standard_normal(2 * n)
-        ks.append(sectional(chart, p, X, J0 @ X, fd_step))
-    ks = np.array(ks)
-    return PipelineReport(worst, flat, relation, ks, float(ks.std()))
+    unit_sphere = ConeModel(np.full(n + 1, -1.0 / (n + 2)), sigma_sign=-1)
+    ks = quotient_hs_curvatures(unit_sphere, rng, max(samples, 3), fd_step)
+    return PipelineReport(SasakiReport(*worst.tolist()), flat, relation, ks, float(ks.std()))

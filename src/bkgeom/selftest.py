@@ -161,13 +161,15 @@ def sasaki_identity(seed: int, sizes: dict, fd_step: float) -> dict:
     good = sasaki.sasaki_residual(sasaki.hopf_sphere(3, 1.0), _P3, fd_step)
     bad = sasaki.sasaki_residual(sasaki.hopf_sphere(3, 2.0), _P3, fd_step)
     pipe = sasaki.cpn_pipeline(1, fd_step, seed=seed, samples=sizes["pipeline_samples"])
+    hs_mean = abs(float(pipe.quotient_hs_curvatures.mean()) - 4.0) / 4.0
     return {"identity": _channel(good.identity_residual, "<=", 1e-3),
             "killing": _channel(good.killing_residual, "<=", 1e-3),
             "radius2_control": _channel(bad.identity_residual, ">=", 0.1),
             "pipeline_sasaki": _channel(pipe.sasaki.max_residual(), "<=", 1e-3),
             "pipeline_cone_flatness": _channel(pipe.cone_flatness, "<=", 1e-3),
             "pipeline_cone_relation": _channel(pipe.cone_relation_residual, "<=", 1e-3),
-            "pipeline_hs_spread": _channel(pipe.quotient_hs_spread, "<=", 1e-3)}
+            "pipeline_hs_spread": _channel(pipe.quotient_hs_spread, "<=", 1e-3),
+            "pipeline_hs_mean": _channel(hs_mean, "<=", 1e-3)}
 
 
 def quotient_curvature_proposition(seed: int, sizes: dict, fd_step: float) -> dict:

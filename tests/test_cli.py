@@ -141,6 +141,25 @@ class TestClassifyCommand:
         assert err["kind"] == "usage"
         assert "unrecognized arguments: --n 3" in err["error"]
 
+    @pytest.mark.parametrize("command, diagonal, extra, option", [
+        ("curvature", False, ("--n", "5", "--seed", "9"), "--n"),
+        ("curvature", False, ("--n", "2"), "--n"),
+        ("curvature", False, ("--seed=0",), "--seed"),
+        ("verify-prop", True, ("--n", "7"), "--n")])
+    def test_fallback_option_with_matrix_is_usage_error(self, command, diagonal, extra,
+                                                        option, tmp_path):
+        # --n and curvature's --seed steer only the seeded fallback that -m replaces
+        M = (np.diag([-0.3j, -0.2j, 0.5j]) if diagonal
+             else np.array([[0.5j, 1.0 + 0.2j], [-1.0 + 0.2j, -0.3j]]))
+        path = tmp_path / "m.json"
+        path.write_text(jsonio.dumps(jsonio.matrix_to_json(M)))
+        assert run_cli(command, "-m", str(path)).returncode == 0
+        r = run_cli(command, *extra, "--matrix", str(path))
+        assert (r.returncode, r.stdout) == (2, "")
+        err = json.loads(r.stderr)
+        assert err["kind"] == "usage"
+        assert f"argument {option}: not allowed with argument --matrix/-m" in err["error"]
+
     @pytest.mark.parametrize("argv", [
         ("selftest", "--scale", "0"), ("selftest", "--scale", "-1"),
         ("curvature", "--n", "0"), ("duality", "--n", "0"), ("verify-cpn", "--n", "0"),
@@ -311,6 +330,7 @@ class TestOtherCommands:
         doc = json.loads(run_cli("verify-cpn", "--n", "1", "--samples", "2").stdout)
         assert doc["cone_flatness"] <= 1e-3
         assert doc["identity_residual"] <= 1e-3
+        assert abs(doc["quotient_hs_mean"] - 4.0) <= 1e-4
 
     def test_tower(self):
         doc = json.loads(run_cli("tower", "--n", "2", "--lambda0", "0.2",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bkgeom.cone import contact_frame, quotient_chart, random_type1_cone_model, sigma_sample
+from bkgeom.cone import (ConeModel, contact_frame, quotient_chart, random_type1_cone_model,
+                         sigma_sample)
 from bkgeom.fdgeom import (
     ChartBoundaryError,
     ChartMetric,
@@ -13,7 +14,7 @@ from bkgeom.fdgeom import (
     second_fundamental_form,
     sectional,
 )
-from bkgeom.sasaki import cpn_quotient_chart, ellipsoid_chart, sphere_chart, sphere_embedding
+from bkgeom.sasaki import ellipsoid_chart, sphere_chart, sphere_embedding
 
 
 def closed_form_sphere_christoffel(x):
@@ -135,7 +136,9 @@ def stencil_case(family, d):
     if family == "cone":
         return cone_metric_chart(sphere_chart(d - 1)), np.append(x[:-1], 1.1)
     if family == "cpn":
-        return cpn_quotient_chart(d // 2), x
+        # verify-cpn's CP^n: the unit sphere's quotient chart, off its frame centre
+        model = ConeModel(np.full(d // 2 + 1, -1.0 / (d // 2 + 2)), sigma_sign=-1)
+        return quotient_chart(contact_frame(sigma_sample(model, d, 1)[0], model)), x
     model = random_type1_cone_model(d // 2 + 1, d)
     frame = contact_frame(sigma_sample(model, d, 1)[0], model)
     return quotient_chart(frame), np.zeros(d)

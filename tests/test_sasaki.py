@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from bkgeom.curvature import KaehlerModel
-from bkgeom.fdgeom import central_partials, christoffel, cone_metric_chart, riemann, sectional
+from bkgeom import sasaki
+from bkgeom.cone import ConeModel, cp_cone_model, random_type1_cone_model
+from bkgeom.fdgeom import central_partials, christoffel, cone_metric_chart, riemann
 from bkgeom.sasaki import (
     SasakiData,
     cone_relation_residual,
     cpn_pipeline,
-    cpn_quotient_chart,
     ellipsoid_chart,
     hopf_field,
     hopf_sphere,
     killing_residual,
+    quotient_hs_curvatures,
     sasaki_residual,
     sphere_chart,
     transversal_J,
@@ -133,17 +134,41 @@ class TestTransversalJ:
         with pytest.raises(ValueError):
             transversal_J(data, P3)
 
+    @pytest.mark.parametrize("case", ["hopf", "ellipsoid"])
+    def test_one_christoffel_per_stencil_point(self, case, monkeypatch):
+        # Gamma at p serves J(p) and the covariant derivative; J at p +- h D_a
+        # takes one more each: 2d - 1 in all
+        data = LOOP_REFERENCE_CASES[case]()
+        calls, real = [], sasaki.christoffel
+        monkeypatch.setattr(sasaki, "christoffel",
+                            lambda *args: calls.append(args) or real(*args))
+        transversal_J(data, P3, 1e-4)
+        assert len(calls) == 2 * data.chart.dim - 1
+
+
+def unit_sphere_model(n):
+    """The section |x|^2 = 1 in C^(n+1) under the action -i x: the pipeline's CP^n."""
+    return ConeModel(np.full(n + 1, -1.0 / (n + 2)), sigma_sign=-1)
+
 
 class TestQuotientChart:
     def test_fubini_study_constant_four(self):
-        for n in (1, 2):
-            chart = cpn_quotient_chart(n)
-            J0 = KaehlerModel(n).J   # the affine chart's complex structure
-            rng = np.random.default_rng(n)
-            for _ in range(3):
-                p = rng.uniform(-0.5, 0.5, 2 * n)
-                X = rng.standard_normal(2 * n)
-                assert sectional(chart, p, X, J0 @ X, 1e-4) == pytest.approx(4.0, abs=1e-4)
+        for n in (1, 2, 3):
+            ks = quotient_hs_curvatures(unit_sphere_model(n), np.random.default_rng(n), 3)
+            assert np.abs(ks - 4.0).max() <= 1e-4
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_radius_sqrt2_sphere_reads_two(self, n):
+        # the cp model's section is the sphere of radius sqrt2: curvature scales by 1/2
+        ks = quotient_hs_curvatures(cp_cone_model(n + 1), np.random.default_rng(n), 3)
+        assert np.abs(ks - 2.0).max() <= 1e-4
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_type1_quotient_is_not_constant(self, n, seed):
+        ks = quotient_hs_curvatures(random_type1_cone_model(n + 1, seed),
+                                    np.random.default_rng(seed), 3)
+        assert ks.std() >= 1e-2
 
 
 class TestPipeline:
@@ -156,6 +181,7 @@ class TestPipeline:
         assert d["cone_flatness"] <= 1e-3
         assert d["cone_relation_residual"] <= 1e-3
         assert d["quotient_hs_spread"] <= 1e-3
+        assert d["quotient_hs_mean"] == pytest.approx(4.0, rel=1e-6)
 
     def test_full_pipeline_n2(self):
         rep = cpn_pipeline(2, 1e-4, seed=1, samples=2)
