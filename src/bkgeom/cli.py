@@ -82,7 +82,7 @@ def _cmd_classify(args) -> dict:
 
     A = _su_input(args)
     es = orbits.eigenstructure(A, args.tol)
-    ot = orbits.classify_from(A, args.tol, es)
+    ot = orbits.classify(A, args.tol)
     pc = orbits.char_poly(A)
     r_skew, r_tr, scale = hermitian.su_residuals(A.matrix, A.space)
     return {

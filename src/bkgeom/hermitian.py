@@ -86,7 +86,11 @@ class SuElement:
         return self.space.n
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        # a read-only copy: the certificate, and the orbit analysis that
+        # `orbits` keeps per element, hold only while the matrix cannot change
+        M = np.array(self.matrix, dtype=complex)
+        M.flags.writeable = False
+        object.__setattr__(self, "matrix", M)
 
 
 def su_residuals(A, space: HermitianSpace) -> tuple[float, float, float]:
@@ -142,11 +146,11 @@ def su_project(A, space: HermitianSpace) -> np.ndarray:
 
     A |-> (A - H^-1 A^* H)/2 kills the self-adjoint part; subtracting
     trace/(n+1) (purely imaginary for the skew part) restores tracelessness.
+    H = diag(1, ..., 1, -1) is its own inverse.
     """
     A = np.asarray(A, dtype=complex)
     H = space.form_matrix
-    Hinv = np.linalg.inv(H)
-    S = 0.5 * (A - Hinv @ A.conj().T @ H)
+    S = 0.5 * (A - H @ A.conj().T @ H)
     return S - (np.trace(S) / space.dim) * np.eye(space.dim)
 
 

@@ -27,11 +27,19 @@ than guessing.
 Canonical bases share one construction: an h-indefinite A-invariant head per
 type, then the h-orthonormal complement of its span, on which A lies in u(k)
 and is diagonalized.
+
+There is one analysis per element and tolerance.  The eigenvalues, and per
+tolerance the eigenstructure and the orbit type, are kept in a private memo
+that eigenstructure, classify, canonical_basis and char_poly share.  An
+entry lives exactly as long as its element, whose matrix is a read-only
+copy.  A refusal (IllConditionedError) is not cached: it is raised again on
+every call.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +87,8 @@ def _cluster(values: np.ndarray, thr: float) -> list[list[int]]:
     return [np.flatnonzero(row).tolist() for i, row in enumerate(reach) if row.argmax() == i]
 
 
-def _nullity(M: np.ndarray, thr: float) -> int:
-    s = np.linalg.svd(M, compute_uv=False)
+def _nullity(s: np.ndarray, thr: float) -> int:
+    """Count of singular values s below thr, refusing any within DEAD_BAND of it."""
     in_band = (s > thr / DEAD_BAND) & (s < thr * DEAD_BAND)
     if np.any(in_band):
         raise IllConditionedError(
@@ -95,6 +103,51 @@ def _null_basis(M: np.ndarray, thr: float) -> np.ndarray:
     return vh.conj().T[:, mask]
 
 
+# -- one analysis per element -------------------------------------------------
+
+
+@dataclass
+class _Analysis:
+    """What is known of one element: its eigenvalues, and per tolerance its
+    eigenstructure and its (orbit type, type-2 chain).  Arrays are read-only."""
+
+    eigenvalues: np.ndarray
+    structures: dict = field(default_factory=dict)
+    orbits: dict = field(default_factory=dict)
+
+
+# an entry dies with its element: SuElement hashes and compares by identity
+_ANALYSES: weakref.WeakKeyDictionary[SuElement, _Analysis] = weakref.WeakKeyDictionary()
+
+
+def _analysis(A: SuElement) -> _Analysis:
+    an = _ANALYSES.get(A)
+    if an is None:
+        w = np.linalg.eigvals(A.matrix)
+        w.flags.writeable = False
+        an = _ANALYSES[A] = _Analysis(w)
+    return an
+
+
+def _structure(A: SuElement, tol: float) -> EigenStructure:
+    an = _analysis(A)
+    if tol not in an.structures:   # a refusal raises here and leaves no entry
+        an.structures[tol] = _eigenstructure(A.matrix, an.eigenvalues, tol)
+    return an.structures[tol]
+
+
+def _orbit(A: SuElement, tol: float):
+    """The orbit type, with the Jordan 2-chain (e, f) that fixed a type-2 sign, else None."""
+    an = _analysis(A)
+    if tol not in an.orbits:
+        orbit, chain = _classify_with_chain(A, tol, _structure(A, tol))
+        if chain is not None:
+            for v in chain:
+                v.flags.writeable = False
+        an.orbits[tol] = orbit, chain
+    return an.orbits[tol]
+
+
 def eigenstructure(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> EigenStructure:
     """Clustered eigenvalues with Jordan block sizes from rank sequences.
 
@@ -102,9 +155,12 @@ def eigenstructure(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> EigenStru
     block of size >= 4 is impossible for a certified su(n,1) element and
     is reported as ill-conditioning of the input.
     """
-    M = A.matrix
+    return _structure(A, tol)
+
+
+def _eigenstructure(M: np.ndarray, w: np.ndarray, tol: float) -> EigenStructure:
+    """eigenstructure of the matrix M with eigenvalues w, computed afresh."""
     scale = _matrix_scale(M)
-    w = np.linalg.eigvals(M)
     thr_c = max(tol, _CLUSTER_FLOOR) * scale
     clusters = []
     for idx in _cluster(w, thr_c):
@@ -114,14 +170,16 @@ def eigenstructure(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> EigenStru
             clusters.append(EigenCluster(lam, 1, (1,)))
             continue
         B = M - lam * np.eye(M.shape[0])
-        bscale = _matrix_scale(B)
-        nullities = [0]
-        P = np.eye(M.shape[0], dtype=complex)
-        for k in (1, 2, 3):
-            P = P @ B
-            nullities.append(min(_nullity(P, tol * bscale ** k), m))
+        s = np.linalg.svd(B, compute_uv=False)   # one SVD gives B's scale and nullity(B)
+        bscale = max(1.0, float(s[0]))
+        nullities = [0, min(_nullity(s, tol * bscale), m)]
+        P = B
+        for k in (2, 3):
             if nullities[-1] == m:
                 break
+            P = P @ B
+            s = np.linalg.svd(P, compute_uv=False)
+            nullities.append(min(_nullity(s, tol * bscale ** k), m))
         if nullities[-1] != m:
             raise IllConditionedError(
                 "rank sequence implies a Jordan block of size >= 4; "
@@ -170,16 +228,11 @@ def _epsilon_from_chain(space: HermitianSpace, e: np.ndarray, f: np.ndarray,
 
 def classify(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> OrbitType:
     """Orbit type of a certified element, including the type-2 sign."""
-    return classify_from(A, tol, eigenstructure(A, tol))
-
-
-def classify_from(A: SuElement, tol: float, es: EigenStructure) -> OrbitType:
-    """classify, read off an eigenstructure already built as es = eigenstructure(A, tol)."""
-    return _classify_with_chain(A, tol, es)[0]
+    return _orbit(A, tol)[0]
 
 
 def _classify_with_chain(A: SuElement, tol: float, es: EigenStructure):
-    """The orbit type, with the Jordan 2-chain (e, f) that fixed a type-2 sign, else None."""
+    """_orbit's result, computed afresh from es = eigenstructure(A, tol)."""
     M = A.matrix
     thr_re = tol * es.scale
 
@@ -303,7 +356,7 @@ def _eval_factored(rho, u, f, t, shifted: bool, ambient: int):
 def char_poly(A: SuElement) -> CharPoly:
     """det(A - tI) as ground truth (returned monic); the factorization
     cross-checks are left to the first read of a residual."""
-    w = np.linalg.eigvals(A.matrix)
+    w = _analysis(A).eigenvalues
     return CharPoly(np.poly(w), A, w)
 
 
@@ -349,9 +402,9 @@ def _orthonormal_complement(space: HermitianSpace, spanned: list[np.ndarray],
 
 
 def _eigenvectors(M: np.ndarray, lam: complex, tol: float) -> np.ndarray:
-    """Basis of ker(M - lam) at the threshold tol * max(1, ||M - lam||_2)."""
-    B = M - lam * np.eye(M.shape[0])
-    return _null_basis(B, tol * _matrix_scale(B))
+    """Basis of ker(M - lam) at the threshold tol * max(1, ||M - lam||_2), by one SVD."""
+    _, s, vh = np.linalg.svd(M - lam * np.eye(M.shape[0]))
+    return vh.conj().T[:, s < tol * max(1.0, float(s[0]))]
 
 
 def canonical_basis(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> CanonicalBasis:
@@ -367,7 +420,7 @@ def canonical_basis(A: SuElement, tol: float = DEFAULT_CLASSIFY_TOL) -> Canonica
       type 4: [[0, 1], [1, 0]] on the null eigenvector pair, identity after
     """
     es = eigenstructure(A, tol)
-    orbit, chain = _classify_with_chain(A, tol, es)
+    orbit, chain = _orbit(A, tol)
     space, M = A.space, A.matrix
     d = space.dim
     H = space.form_matrix

@@ -89,6 +89,14 @@ class TestCheckSu:
         with pytest.raises(NonFiniteError):
             jsonio.matrix_from_json(jsonio.matrix_to_json(M))
 
+    def test_element_keeps_a_read_only_copy(self):
+        M = np.diag([0.4j, -0.2j, -0.2j])
+        A = su_element(M, HermitianSpace(2))
+        M[0, 0] = 5.0
+        assert A.matrix[0, 0] == 0.4j
+        with pytest.raises(ValueError):
+            A.matrix[0, 0] = 5.0
+
     def test_projection_oracle_certifies(self):
         sp = HermitianSpace(3)
         rng = np.random.default_rng(2)

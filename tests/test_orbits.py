@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -46,6 +49,23 @@ def conjugated(A, seed):
     sp = A.space
     G = group_conjugator(np.random.default_rng(seed), sp)
     return su_element(su_project(G @ A.matrix @ np.linalg.inv(G), sp), sp)
+
+
+def dead_band_element(a=3e-8):
+    """An element of su(2,1) with the split-real pair +-a + 0.4i.  At a = 3e-8 it is
+    refused at the default tolerance and type 1 at 1e-6."""
+    sp = HermitianSpace(2)
+    npl = np.array([1.0, 0.0, 1.0], dtype=complex)
+    nmi = np.array([1.0, 0.0, -1.0], dtype=complex)
+    e2 = np.array([0.0, 1.0, 0.0], dtype=complex)
+    B = np.array([npl, 0.5 * nmi, e2]).T
+    C = np.diag([a + 0.4j, -a + 0.4j, -0.8j])
+    return su_element(su_project(B @ C @ np.linalg.inv(B), sp), sp)
+
+
+def fresh(A):
+    """A new element with A's matrix, so nothing is known of it yet."""
+    return su_element(A.matrix, A.space)
 
 
 class TestEigenstructure:
@@ -154,18 +174,8 @@ class TestClassify:
     def test_dead_band_raises(self):
         # a split-real pair with |Re| inside (tol/10, 10 tol) cannot be
         # distinguished from an imaginary pair at tol; refuse to guess
-        sp = HermitianSpace(2)
-        a = 3e-8
-        M = np.zeros((3, 3), dtype=complex)
-        npl = np.array([1.0, 0.0, 1.0], dtype=complex)
-        nmi = np.array([1.0, 0.0, -1.0], dtype=complex)
-        e2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-        B = np.array([npl, 0.5 * nmi, e2]).T
-        C = np.diag([a + 0.4j, -a + 0.4j, -0.8j])
-        M = B @ C @ np.linalg.inv(B)
-        el = su_element(su_project(M, sp), sp)
         with pytest.raises(IllConditionedError):
-            classify(el)
+            classify(dead_band_element(3e-8))
 
 
 @st.composite
@@ -266,6 +276,89 @@ class TestOneEigenAnalysis:
         calls = count_calls(monkeypatch, orbits, "_jordan_chain")
         canonical_basis(random_su(5, HermitianSpace(3), profile))
         assert len(calls) == (EXPECTED_TAG[profile] in ("2a", "2b", "3"))
+
+
+def warm(A, tol=orbits.DEFAULT_CLASSIFY_TOL):
+    """Run each reader of A's analysis once."""
+    classify(A, tol)
+    canonical_basis(A, tol)
+    char_poly(A)
+
+
+def same_basis(a, b):
+    return (a.orbit == b.orbit and a.conjugation_residual == b.conjugation_residual
+            and a.gram_residual == b.gram_residual
+            and all(np.array_equal(getattr(a, k), getattr(b, k))
+                    for k in ("basis", "canonical", "gram_target")))
+
+
+def same_char_poly(a, b):
+    return (np.array_equal(a.coefficients, b.coefficients) and np.array_equal(a.roots, b.roots)
+            and a.factored_residual == b.factored_residual
+            and a.displayed_residual == b.displayed_residual)
+
+
+class TestAnalysisMemo:
+    @pytest.mark.parametrize("profile", sorted([*EXPECTED_TAG, "generic"]))
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_warm_results_equal_fresh_ones_bitwise(self, profile, n):
+        A = random_su(5, HermitianSpace(n), profile)
+        warm(A)
+        assert classify(A) == classify(fresh(A))
+        assert same_basis(canonical_basis(A), canonical_basis(fresh(A)))
+        assert same_char_poly(char_poly(A), char_poly(fresh(A)))
+
+    @pytest.mark.parametrize("profile", sorted(EXPECTED_TAG))
+    def test_one_eigvals_and_one_analysis_per_tolerance(self, profile, monkeypatch):
+        eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
+        bodies = count_calls(monkeypatch, orbits, "_eigenstructure")
+        chains = count_calls(monkeypatch, orbits, "_classify_with_chain")
+        A = random_su(5, HermitianSpace(3), profile)
+        warm(A)
+        assert (len(eigvals), len(bodies), len(chains)) == (1, 1, 1)
+        warm(A, 1e-6)
+        eigenstructure(A, 1e-6)
+        classify(A)
+        assert (len(eigvals), len(bodies), len(chains)) == (1, 2, 2)
+
+    @pytest.mark.parametrize("first", [1e-8, 1e-3])
+    def test_tolerances_do_not_share_results(self, first):
+        A = random_su(5, HermitianSpace(3), "jordan2")
+        warm(A, first)
+        assert classify(A, 1e-6) == classify(fresh(A), 1e-6)
+        assert eigenstructure(A, 1e-6) == eigenstructure(fresh(A), 1e-6)
+        assert eigenstructure(A, 1e-3) != eigenstructure(A, 1e-8)  # cluster_tol differs
+
+        A = dead_band_element()
+        with pytest.raises(IllConditionedError):
+            classify(A, 1e-8)
+        assert classify(A, 1e-6) == classify(fresh(A), 1e-6)
+        assert classify(A, 1e-6).tag == "1"
+
+    def test_refusals_are_not_stored(self, monkeypatch):
+        bodies = count_calls(monkeypatch, orbits, "_eigenstructure")
+        A = dead_band_element()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(IllConditionedError) as exc:
+                classify(A)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "dead band" in messages[0]
+        assert len(bodies) == 2
+
+    def test_memo_dies_with_its_element(self):
+        A = random_su(5, HermitianSpace(3), "jordan2")
+        warm(A)
+        ref = weakref.ref(A)
+        del A
+        gc.collect()
+        assert ref() is None
+
+    def test_cached_arrays_are_read_only(self):
+        A = random_su(5, HermitianSpace(3), "jordan2")
+        with pytest.raises(ValueError):
+            char_poly(A).roots[0] = 0.0
 
 
 def union_find_clusters(values, thr):
