@@ -177,11 +177,8 @@ def _model_from_args(args):
         if abs(diag.sum()) > 1e-10 * max(1.0, np.abs(diag).max()):
             raise ValidationFailure("generator must be traceless")
         return cone.ConeModel(diag.imag[:-1], sigma_sign=sign)
-    model = cone.cp_cone_model(args.n)
-    if sign == 1:
-        # the displayed sign empties the projective-type quadric; surface that
-        return cone.ConeModel(model.lambdas, sigma_sign=1)
-    return model
+    # the paper sign empties the projective-type quadric; verify-prop surfaces that
+    return cone.ConeModel(cone.cp_cone_model(args.n).lambdas, sign)
 
 
 def _cmd_verify_prop(args) -> dict:

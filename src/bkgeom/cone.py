@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import KaehlerModel, curvature_from_rho
-from .fdgeom import ChartMetric, riemann
+from .fdgeom import ChartFailureError, ChartMetric, riemann
 from .hermitian import HermitianSpace, SuElement, su_element
 
 TRANSVERSALITY_THRESHOLD = 1e-6
@@ -64,10 +64,6 @@ class EmptySectionError(ValueError):
 
 class TangencyError(ValueError):
     """The symmetry direction is not transversal to the contact distribution."""
-
-
-class ChartFailureError(ValueError):
-    """The local quotient slice degenerated."""
 
 
 def flat_inner(X, Y):
@@ -121,16 +117,12 @@ class ConeModel:
         return self.lambdas.size
 
     @property
-    def sigma(self) -> float:
-        return float(self.lambdas.sum())
-
-    @property
     def action_coefficients(self) -> np.ndarray:
         """alpha = -sigma_sign (lam + sigma): the action is x_j -> i alpha_j x_j."""
         return self.action.diagonal().imag
 
     def generator(self) -> SuElement:
-        diag = np.concatenate([1j * self.lambdas, [-1j * self.sigma]])
+        diag = np.concatenate([1j * self.lambdas, [-1j * self.lambdas.sum()]])
         return su_element(np.diag(diag), HermitianSpace(self.n))
 
     def act(self, X) -> np.ndarray:
@@ -176,26 +168,12 @@ def cone_lift(x) -> np.ndarray:
     return np.concatenate([x, [np.linalg.norm(x)]])
 
 
-def group_action(G, x) -> np.ndarray:
-    """U(n) action on the cone: x -> det(G) G x."""
-    G = np.asarray(G, dtype=complex)
-    resid = np.linalg.norm(G.conj().T @ G - np.eye(G.shape[0]))
-    if resid > 1e-9 * max(1.0, np.linalg.norm(G)):
-        raise ValueError(f"matrix is not unitary (residual {resid:.3e})")
-    return np.linalg.det(G) * (G @ np.asarray(x, dtype=complex))
-
-
 def contact_form(X, p):
     """lambda(X) at p: g(X, Jp), column by column; equals the quadric value on xi0."""
     return flat_inner(np.asarray(X, dtype=complex), 1j * np.asarray(p, dtype=complex))
 
 
 # -- the section Sigma ---------------------------------------------------------
-
-
-def sigma_membership(p, model: ConeModel) -> float:
-    """Signed residual of the section equation lambda(act p) = -1 at p."""
-    return float(contact_form(model.act(p), p)) + 1.0
 
 
 def sigma_sample(model: ConeModel, seed: int, count: int = 1) -> list[np.ndarray]:

@@ -275,8 +275,6 @@ class DirectionFlatReport:
     direction_norm: float      # ||R_rho(X0, JX0)||
     rho_norm: float
     kernel_dimension: int      # of rho |-> R_rho(X0, JX0); 0 forces global flatness
-    hypothesis_holds: bool
-    conclusion_flat: bool
 
 
 def direction_flat_check(rho, X0, model: KaehlerModel) -> DirectionFlatReport:
@@ -298,7 +296,4 @@ def direction_flat_check(rho, X0, model: KaehlerModel) -> DirectionFlatReport:
     cols = np.einsum("ijka,i,j->ka", A.reshape(X0.size, X0.size, -1, len(basis)), X0, JX0)
     s = np.linalg.svd(cols, compute_uv=False)
     kernel_dim = len(basis) - int(np.sum(s > 1e-8 * s[0]))
-    dn = float(np.linalg.norm(E))
-    rn = float(np.linalg.norm(np.asarray(rho, dtype=float)))
-    holds = dn <= 1e-10 * max(1.0, rn)
-    return DirectionFlatReport(dn, rn, kernel_dim, holds, holds and kernel_dim == 0)
+    return DirectionFlatReport(float(np.linalg.norm(E)), float(np.linalg.norm(rho)), kernel_dim)

@@ -21,7 +21,7 @@ and takes Gamma at p and at p +- h e_m in one stacked computation;
 the table of its embeddings.  `_difference` is the one central difference,
 (f(+h) - f(-h)) / 2h; `central_partials`, with which every caller of the
 oracle differentiates, sits on it.  A chart refuses a point outside its
-domain by raising from its `eval`.
+domain by raising `ChartFailureError` from its `eval`.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-class ChartBoundaryError(ValueError):
-    """An evaluation point left the chart domain."""
+class ChartFailureError(ValueError):
+    """A chart refused an evaluation point: it left the domain, or the chart degenerated."""
 
 
 @dataclass(frozen=True)
@@ -146,23 +146,15 @@ def sectional(chart: ChartMetric, p, X, Y, step: float = 1e-4) -> float:
     return float(num / den)
 
 
-@dataclass(frozen=True, eq=False)
-class SecondFundamentalForm:
-    """Normal-valued second fundamental form of an embedded chart."""
-
-    components: np.ndarray   # shape (ambient_dim, d, d), normal part only
-    tangent_frame: np.ndarray
-    norm: float              # max over (i,j) of the ambient length of II(e_i, e_j)
-
-
 def second_fundamental_form(ambient_chart: ChartMetric, embeddings: Sequence, p,
-                            step: float = 1e-4) -> tuple[SecondFundamentalForm, ...]:
-    """II(X, Y) = normal component of the ambient covariant derivative, one per embedding.
+                            step: float = 1e-4) -> tuple[float, ...]:
+    """The norm of II, max over (i, j) of the ambient length of II(e_i, e_j), per embedding.
 
+    II(X, Y) is the normal component of the ambient covariant derivative.
     Each embedding maps base chart coordinates into ambient chart coordinates
     and must be an immersion at p (rank deficiency raises).  All of them must
     send p to the same ambient point q (else ValueError), so that one ambient
-    Christoffel symbol at q serves every form.  Totally geodesic
+    Christoffel symbol at q serves every embedding.  Totally geodesic
     submanifolds are exactly those with vanishing norm.
     """
     p = np.asarray(p, dtype=float)
@@ -173,7 +165,7 @@ def second_fundamental_form(ambient_chart: ChartMetric, embeddings: Sequence, p,
     G_star = _sample(ambient_chart.at, q, step, _stencil(q.size)[0])
     G = G_star[0]
     Gamma = _christoffels(G_star[:, None], step)[0]
-    forms = []
+    out = []
     for F in tables:
         dF = _difference(F[1:], step)            # dF[i, b] = d_i f at p + step star[b]
         E = dF[:, 0].T
@@ -189,8 +181,8 @@ def second_fundamental_form(ambient_chart: ChartMetric, embeddings: Sequence, p,
         P = E @ np.linalg.solve(M, E.T @ G)
         II_normal = II - np.einsum("kl,lij->kij", P, II)
         norms = np.sqrt(np.einsum("kij,kl,lij->ij", II_normal, G, II_normal))
-        forms.append(SecondFundamentalForm(II_normal, E, float(norms.max())))
-    return tuple(forms)
+        out.append(float(norms.max()))
+    return tuple(out)
 
 
 def cone_metric_chart(base_chart: ChartMetric) -> ChartMetric:
@@ -200,14 +192,10 @@ def cone_metric_chart(base_chart: ChartMetric) -> ChartMetric:
     def ev(p):
         x, t = p[:d], p[d]
         if t <= 0.0:
-            raise ChartBoundaryError("cone coordinate t must be positive")
+            raise ChartFailureError("cone coordinate t must be positive")
         g = np.zeros((d + 1, d + 1))
         g[:d, :d] = t * t * base_chart.at(x)
         g[d, d] = 1.0
         return g
 
     return ChartMetric(d + 1, ev)
-
-
-def euclidean_chart(dim: int) -> ChartMetric:
-    return ChartMetric(dim, lambda p: np.eye(dim))

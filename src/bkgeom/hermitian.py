@@ -40,10 +40,6 @@ _PROFILES = (
 _MIN_GAP = 0.25
 
 
-class HermitianSpaceError(ValueError):
-    """Raised for a malformed space (n < 1)."""
-
-
 @dataclass(frozen=True)
 class HermitianSpace:
     """C^(n+1) with a signature-(n,1) hermitian form in diagonal standard form."""
@@ -53,7 +49,7 @@ class HermitianSpace:
 
     def __post_init__(self):
         if self.n < 1:
-            raise HermitianSpaceError("need n >= 1")
+            raise ValueError("need n >= 1")
         H = np.eye(self.n + 1, dtype=complex)
         H[self.n, self.n] = -1.0
         object.__setattr__(self, "form_matrix", H)

@@ -20,9 +20,12 @@ x = (1, 0, ..., 0, 1) classifies as 2a.
 Numerics: eigenvalues are grouped by single-linkage clustering whose
 threshold has a floor of order eps^(1/3) (the perturbation scale of a
 defective triple eigenvalue at double precision), and all rank decisions
-are made on singular values of (A - lam)^k.  A rank decision falling
-within a factor of 10 of its threshold raises IllConditionedError rather
-than guessing.
+are made on singular values of (A - lam)^k.  A group whose mean lam has
+nullity(A - lam) = 0 holds no Jordan block at lam: it is split by clustering
+it again at a floor of order eps^(1/2) (the scale of a defective pair), so
+distinct eigenvalues closer than the first floor are resolved.  A rank
+decision falling within a factor of 10 of its threshold raises
+IllConditionedError rather than guessing.
 
 Canonical bases share one construction: an h-indefinite A-invariant head per
 type, then the h-orthonormal complement of its span, on which A lies in u(k)
@@ -51,6 +54,9 @@ DEAD_BAND = 10.0
 # eigenvalues of a perturbed Jordan 3-block scatter like (machine eps)^(1/3);
 # clustering must not resolve that scatter into separate eigenvalues
 _CLUSTER_FLOOR = 25.0 * np.finfo(float).eps ** (1.0 / 3.0)
+# those of a perturbed Jordan 2-block scatter like eps^(1/2); a group split by `_blocks`
+# is clustered again at this finer floor, which keeps such a pair together
+_PAIR_FLOOR = 10.0 * np.finfo(float).eps ** 0.5
 
 
 @dataclass(frozen=True)
@@ -164,36 +170,51 @@ def _eigenstructure(M: np.ndarray, w: np.ndarray, tol: float) -> EigenStructure:
     thr_c = max(tol, _CLUSTER_FLOOR) * scale
     clusters = []
     for idx in _cluster(w, thr_c):
-        lam = complex(np.mean(w[idx]))
-        m = len(idx)
-        if m == 1:
-            clusters.append(EigenCluster(lam, 1, (1,)))
-            continue
-        B = M - lam * np.eye(M.shape[0])
-        s = np.linalg.svd(B, compute_uv=False)   # one SVD gives B's scale and nullity(B)
-        bscale = max(1.0, float(s[0]))
-        nullities = [0, min(_nullity(s, tol * bscale), m)]
-        P = B
-        for k in (2, 3):
-            if nullities[-1] == m:
-                break
-            P = P @ B
-            s = np.linalg.svd(P, compute_uv=False)
-            nullities.append(min(_nullity(s, tol * bscale ** k), m))
-        if nullities[-1] != m:
-            raise IllConditionedError(
-                "rank sequence implies a Jordan block of size >= 4; "
-                "input is outside su(n,1) at the working tolerance")
-        at_least = [nullities[k] - nullities[k - 1] for k in range(1, len(nullities))]
-        if any(at_least[k] > at_least[k - 1] for k in range(1, len(at_least))):
-            raise IllConditionedError("non-monotone Jordan block counts")
-        at_least.append(0)
-        sizes = []
-        for sz in range(len(at_least) - 1, 0, -1):
-            sizes.extend([sz] * (at_least[sz - 1] - at_least[sz]))
-        clusters.append(EigenCluster(lam, m, tuple(sorted(sizes, reverse=True))))
+        clusters.extend(_blocks(M, w[idx], tol, scale, split=True))
     clusters.sort(key=lambda c: (round(c.eigenvalue.imag, 9), round(c.eigenvalue.real, 9)))
     return EigenStructure(tuple(clusters), thr_c, scale)
+
+
+def _blocks(M: np.ndarray, members: np.ndarray, tol: float, scale: float,
+            split: bool) -> list[EigenCluster]:
+    """The clusters of one group of eigenvalues of M, each with its Jordan block sizes.
+
+    With split, a group with nullity(M - mean) = 0 is clustered again at the
+    pair floor and each part is analysed unsplit.
+    """
+    lam = complex(np.mean(members))
+    m = len(members)
+    if m == 1:
+        return [EigenCluster(lam, 1, (1,))]
+    B = M - lam * np.eye(M.shape[0])
+    s = np.linalg.svd(B, compute_uv=False)   # one SVD gives B's scale and nullity(B)
+    bscale = max(1.0, float(s[0]))
+    nullities = [0, min(_nullity(s, tol * bscale), m)]
+    if nullities[1] == 0 and split:
+        # a Jordan block at offset delta from the mean leaves sigma_min(B) at O(delta^k), below
+        # the nullity threshold at the offsets the floor admits: nullity 0 means no block at
+        # the mean, so the members are distinct eigenvalues (or a 2-block and its neighbours)
+        parts = _cluster(members, max(tol, _PAIR_FLOOR) * scale)
+        return [c for part in parts for c in _blocks(M, members[part], tol, scale, False)]
+    P = B
+    for k in (2, 3):
+        if nullities[-1] == m:
+            break
+        P = P @ B
+        s = np.linalg.svd(P, compute_uv=False)
+        nullities.append(min(_nullity(s, tol * bscale ** k), m))
+    if nullities[-1] != m:
+        raise IllConditionedError(
+            "rank sequence implies a Jordan block of size >= 4; "
+            "input is outside su(n,1) at the working tolerance")
+    at_least = [nullities[k] - nullities[k - 1] for k in range(1, len(nullities))]
+    if any(at_least[k] > at_least[k - 1] for k in range(1, len(at_least))):
+        raise IllConditionedError("non-monotone Jordan block counts")
+    at_least.append(0)
+    sizes = []
+    for sz in range(len(at_least) - 1, 0, -1):
+        sizes.extend([sz] * (at_least[sz - 1] - at_least[sz]))
+    return [EigenCluster(lam, m, tuple(sorted(sizes, reverse=True)))]
 
 
 def _jordan_chain(M: np.ndarray, lam: complex, length: int, tol: float):

@@ -76,18 +76,19 @@ def hopf_field(m: int, radius: float = 1.0) -> Callable[[np.ndarray], np.ndarray
     """The circle-action field xi(z) = iz of S^m(radius), m odd, in chart coordinates.
 
     Ambient R^(m+1) is identified with C^((m+1)/2) by stacking real over
-    imaginary parts; the chart representation solves the (injective)
-    jacobian system at each point.
+    imaginary parts.  The chart is conformal, Dq^T Dq = (2r/s)^2 I with
+    s = 1 + |x|^2, and Jq is tangent, so the chart representation of Jq is
+    (s/2r)^2 Dq^T Jq.
     """
     if m % 2 == 0:
         raise ValueError("the circle-action field needs an odd-dimensional sphere")
     Jamb = KaehlerModel((m + 1) // 2).J
 
     def xi(x):
-        q = sphere_embedding(x, radius)
+        x = np.asarray(x, dtype=float)
+        s = 1.0 + x @ x
         Dq = sphere_jacobian(x, radius)
-        v, *_ = np.linalg.lstsq(Dq, Jamb @ q, rcond=None)
-        return v
+        return (s / (2.0 * radius)) ** 2 * (Dq.T @ (Jamb @ sphere_embedding(x, radius)))
 
     return xi
 

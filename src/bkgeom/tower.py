@@ -45,9 +45,8 @@ def embed_generator(A: SuElement, lambda0: float) -> SuElement:
 
 def embedded_cone_model(model: ConeModel, lambda0: float) -> ConeModel:
     """Cone-model data of embed_generator for a diagonal model."""
-    n1 = model.n + 1
-    lam = np.concatenate([[lambda0], model.lambdas - lambda0 / n1])
-    return ConeModel(lam, model.sigma_sign)
+    D = embed_generator(model.generator(), lambda0)
+    return ConeModel(D.matrix.diagonal()[:-1].imag, model.sigma_sign)
 
 
 def embed_cone_point(x) -> np.ndarray:
@@ -119,8 +118,8 @@ def verify_tower_geodesic(model: ConeModel, lambda0: float, samples: int = 3,
         ii, ii_bad = second_fundamental_form(
             chart, [lambda s: E @ s, lambda s: E @ s + 0.5 * float(s @ s) * normal],
             np.zeros(frame.count), fd_step)
-        ii_norms.append(ii.norm)
-        controls.append(ii_bad.norm)
+        ii_norms.append(ii)
+        controls.append(ii_bad)
 
         # isometry of the embedding: base metric vs pulled-back ambient metric
         worst = 0.0

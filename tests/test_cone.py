@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bkgeom import fdgeom
 from bkgeom.cone import (
     ConeModel,
     EmptySectionError,
@@ -15,13 +16,11 @@ from bkgeom.cone import (
     cp_cone_model,
     curvature_template_at,
     flat_inner,
-    group_action,
     induced_metric,
     j_m,
     quotient_chart,
     random_type1_cone_model,
     rho_frame_matrix,
-    sigma_membership,
     sigma_sample,
     verify_curvature_prop,
 )
@@ -63,23 +62,6 @@ class TestConeRepresentatives:
 
 
 class TestActions:
-    def test_identity(self):
-        x = np.array([0.3 + 1j, -0.2])
-        assert np.abs(group_action(np.eye(2), x) - x).max() == 0.0
-
-    def test_determinant_twist_on_phase(self):
-        # G = diag(e^{i t}, 1): the first coordinate picks up the phase twice
-        t = 0.7
-        G = np.diag([np.exp(1j * t), 1.0])
-        x = np.array([1.0, 1.0], dtype=complex)
-        out = group_action(G, x)
-        assert out[0] == pytest.approx(np.exp(2j * t))
-        assert out[1] == pytest.approx(np.exp(1j * t))
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError):
-            group_action(2.0 * np.eye(2), np.ones(2))
-
     def test_algebra_action_zero(self):
         assert np.abs(algebra_action(np.zeros((3, 3)), np.ones(3))).max() == 0.0
 
@@ -99,14 +81,14 @@ class TestActions:
         assert np.abs(out - expected).max() < 1e-14
 
     def test_group_vs_algebra_derivative(self, expm_reference):
-        # d/dt|0 of group_action(exp(tA), x) = algebra_action(A, x)
+        # d/dt|0 of the cone action x -> det(G) G x at G = exp(tA) is algebra_action(A, x)
         rng = np.random.default_rng(3)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         a = 0.5 * (a - a.conj().T)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         t = 1e-6
-        num = (group_action(expm_reference(t * a), x)
-               - group_action(expm_reference(-t * a), x)) / (2 * t)
+        Gp, Gm = expm_reference(t * a), expm_reference(-t * a)
+        num = (np.linalg.det(Gp) * (Gp @ x) - np.linalg.det(Gm) * (Gm @ x)) / (2 * t)
         assert np.abs(num - algebra_action(a, x)).max() < 1e-8
 
 
@@ -114,7 +96,7 @@ class TestSection:
     def test_sampler_residuals(self):
         for model in (cp_cone_model(2), random_type1_cone_model(3, 1)):
             for p in sigma_sample(model, 0, 5):
-                assert abs(sigma_membership(p, model)) <= 1e-12
+                assert abs(contact_form(model.act(p), p) + 1) <= 1e-12
 
     def test_empty_sections(self):
         with pytest.raises(EmptySectionError):
@@ -159,7 +141,7 @@ class TestSection:
                     checked += len(points)
                     for p in points:
                         assert flat_inner(p, p) <= bound
-                        assert abs(sigma_membership(p, model)) <= 1e-12
+                        assert abs(contact_form(model.act(p), p) + 1) <= 1e-12
                         contact_frame(p, model)
         assert checked >= 100
 
@@ -173,13 +155,13 @@ class TestSection:
         assert np.allclose(model.action_coefficients, a)
         for p in sigma_sample(model, 0, 3):
             assert flat_inner(p, p) <= 10.0
-            assert abs(sigma_membership(p, model)) <= 1e-12
+            assert abs(contact_form(model.act(p), p) + 1) <= 1e-12
 
     def test_direct_quadric_solve(self):
         # lam = (1, 0): alpha = (2, 1); p = (1/sqrt(2), 0) sits on the surface
         model = ConeModel(np.array([1.0, 0.0]), sigma_sign=1)
         p = np.array([1.0 / np.sqrt(2.0), 0.0], dtype=complex)
-        assert abs(sigma_membership(p, model)) < 1e-14
+        assert abs(contact_form(model.act(p), p) + 1) < 1e-14
 
 
 class TestContactGeometry:
@@ -377,6 +359,12 @@ class TestContactFormIdentities:
         assert contact_form(X, 1.7 * p) == pytest.approx(1.7 * contact_form(X, p),
                                                          abs=1e-12)
 
+    def test_quotient_needs_n_at_least_two(self):
+        # the cone layer refuses with fdgeom's one chart-refusal class
+        model = ConeModel(np.array([-0.25]), -1)
+        with pytest.raises(fdgeom.ChartFailureError, match="n >= 2"):
+            contact_frame(sigma_sample(model, 0)[0], model)
+
     def test_vanishes_on_euler_field(self):
         rng = np.random.default_rng(2)
         p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -393,7 +381,7 @@ class TestContactFormIdentities:
         Ghat[:2, :2] = G
         Ghat[2, 2] = 1.0 / np.linalg.det(G)
         lhs = cone_rep(Ghat @ cone_lift(x), sp)
-        assert np.abs(lhs - group_action(G, x)).max() < 1e-10
+        assert np.abs(lhs - np.linalg.det(G) * (G @ x)).max() < 1e-10
 
 
 class TestCurvatureProposition:

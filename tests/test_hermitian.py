@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from bkgeom import jsonio
 from bkgeom.hermitian import (
     HermitianSpace,
-    HermitianSpaceError,
     NonFiniteError,
     SuElement,
     SuMembershipError,
@@ -61,7 +60,7 @@ class TestHermForm:
             sp.herm(np.ones(2), np.ones(3))
 
     def test_dimension_below_one_rejected(self):
-        with pytest.raises(HermitianSpaceError):
+        with pytest.raises(ValueError, match="need n >= 1"):
             HermitianSpace(0)
 
 

@@ -53,7 +53,7 @@ def conjugated(A, seed):
 
 def dead_band_element(a=3e-8):
     """An element of su(2,1) with the split-real pair +-a + 0.4i.  At a = 3e-8 it is
-    refused at the default tolerance and type 1 at 1e-6."""
+    refused at the default tolerance and type 1 at 1e-6; from a = 2e-7 it is type 4."""
     sp = HermitianSpace(2)
     npl = np.array([1.0, 0.0, 1.0], dtype=complex)
     nmi = np.array([1.0, 0.0, -1.0], dtype=complex)
@@ -176,6 +176,35 @@ class TestClassify:
         # distinguished from an imaginary pair at tol; refuse to guess
         with pytest.raises(IllConditionedError):
             classify(dead_band_element(3e-8))
+
+    @pytest.mark.parametrize("a", [2e-7, 3e-6, 3e-5, 7e-5])
+    def test_split_real_pair_inside_the_cluster_floor(self, a):
+        # +-a + 0.4i share one cluster, whose mean is no eigenvalue: it is split
+        A = dead_band_element(a)
+        ot = classify(A)
+        assert ot.tag == "4"
+        assert ot.invariant_data[0] == pytest.approx(a + 0.4j, abs=1e-12)
+        cb = canonical_basis(A)
+        assert max(cb.conjugation_residual, cb.gram_residual) <= 1e-14
+
+    @pytest.mark.parametrize("d", [1e-6, 2e-5])
+    def test_imaginary_pair_inside_the_cluster_floor(self, d):
+        sp = HermitianSpace(2)
+        A = conjugated(su_element(np.diag([0.4j, 0.4j + 1j * d, -0.8j - 1j * d]), sp), 0)
+        assert classify(A).tag == "1"
+        assert [c.multiplicity for c in eigenstructure(A).clusters] == [1, 1, 1]
+
+    def test_split_keeps_a_two_block_whole(self):
+        # a 2-block at -i mu and its neighbour 2i mu share one cluster, and roundoff
+        # splits the block by ~1e-8; the pair floor keeps it one block (type 2a), where
+        # splitting into single eigenvalues reads the roundoff as a type-4 pair
+        sp = HermitianSpace(2)
+        P = canonical_basis(random_su(1, sp, "jordan2")).basis
+        mu = 1.5e-4
+        C = np.array([[-1j * mu, 1.0, 0.0], [0.0, -1j * mu, 0.0], [0.0, 0.0, 2j * mu]])
+        A = su_element(su_project(P @ C @ np.linalg.inv(P), sp), sp)
+        assert classify(A, 1e-10).tag == "2a"
+        assert sorted(c.block_sizes for c in eigenstructure(A, 1e-10).clusters) == [(1,), (2,)]
 
 
 @st.composite

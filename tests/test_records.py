@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bkgeom import cone, curvature, fdgeom, grading, hermitian, orbits, sasaki
+from bkgeom import cone, curvature, grading, hermitian, orbits, sasaki
 
 SP = hermitian.HermitianSpace(2)
 
@@ -26,8 +26,6 @@ RECORDS = {
         cone.sigma_sample(cone.cp_cone_model(2), 0)[0], cone.cp_cone_model(2)),
     "PropositionReport": proposition_report,
     "PropositionPointReport": lambda: proposition_report().points[0],
-    "SecondFundamentalForm": lambda: fdgeom.second_fundamental_form(
-        fdgeom.euclidean_chart(3), [lambda s: np.concatenate([s, [0.0]])], np.zeros(2))[0],
     "PipelineReport": lambda: sasaki.cpn_pipeline(1, samples=1),
 }
 

@@ -3,7 +3,7 @@ import pytest
 
 from bkgeom import sasaki
 from bkgeom.cone import ConeModel, cp_cone_model, random_type1_cone_model
-from bkgeom.fdgeom import central_partials, christoffel, cone_metric_chart, riemann
+from bkgeom.fdgeom import ChartMetric, central_partials, christoffel, cone_metric_chart, riemann
 from bkgeom.sasaki import (
     SasakiData,
     cone_relation_residual,
@@ -17,7 +17,6 @@ from bkgeom.sasaki import (
     sphere_chart,
     transversal_J,
 )
-from bkgeom.fdgeom import euclidean_chart
 
 P3 = np.array([0.2, -0.1, 0.3])
 
@@ -72,7 +71,8 @@ LOOP_REFERENCE_CASES = {
     "radius2": lambda: hopf_sphere(3, 2.0),
     "ellipsoid": lambda: SasakiData(ellipsoid_chart(np.array([1.0, 1.3, 1.6, 0.8])),
                                     hopf_field(3, 1.0)),
-    "flat_constant": lambda: SasakiData(euclidean_chart(3), lambda p: np.array([1.0, 0.0, 0.0])),
+    "flat_constant": lambda: SasakiData(ChartMetric(3, lambda p: np.eye(3)),
+                                        lambda p: np.array([1.0, 0.0, 0.0])),
 }
 
 
@@ -97,7 +97,7 @@ class TestHopfSphere:
 
     def test_flat_space_with_constant_field_fails(self):
         # R = 0 but the right side g(xi,Y)X - g(X,Y)xi does not vanish
-        data = SasakiData(euclidean_chart(3), lambda p: np.array([1.0, 0.0, 0.0]))
+        data = SasakiData(ChartMetric(3, lambda p: np.eye(3)), lambda p: np.array([1.0, 0.0, 0.0]))
         rep = sasaki_residual(data, P3, 1e-4)
         assert rep.identity_residual > 0.5
 
