@@ -8,7 +8,8 @@ is an exact inverse of the assembly template.
 
 import numpy as np
 
-from bkgeom.grading import assemble, cp_generator, grade_split, grading_basis, structure_functions
+from bkgeom.cone import cp_cone_model
+from bkgeom.grading import assemble, grade_split, grading_basis, structure_functions
 from bkgeom.hermitian import HermitianSpace, random_su, su_element
 
 np.set_printoptions(precision=4, suppress=True)
@@ -45,7 +46,7 @@ print(f"|rho - rho'| = {np.abs(sf.rho - rho).max():.2e}, "
 
 print()
 print("== the projective-space generator ==")
-cp = cp_generator(space)
+cp = cp_cone_model(n).generator()
 sf = structure_functions(cp, gb)
 print("generator diagonal:", np.round(np.diag(cp.matrix), 4))
 print(f"extracted at scale {sf.scale:+.1f}:  f = {sf.f:.4f},  |u| = "

@@ -12,8 +12,6 @@ element under the obvious identification of C^m with R^(2m).
 import numpy as np
 
 from bkgeom.cone import cp_cone_model, random_type1_cone_model
-from bkgeom.grading import cp_generator
-from bkgeom.hermitian import HermitianSpace
 from bkgeom.tower import (duality_action_check, embed_generator, random_sp, sp_square,
                           verify_tower_geodesic)
 
@@ -21,9 +19,9 @@ np.set_printoptions(precision=4, suppress=True)
 
 print("== the projective ladder ==")
 n = 3
-A = cp_generator(HermitianSpace(n))
+A = cp_cone_model(n).generator()
 D = embed_generator(A, -1.0 / (2 * (n + 2)))
-target = cp_generator(HermitianSpace(n + 1))
+target = cp_cone_model(n + 1).generator()
 print("embed(CP generator, matched corner) agrees with the next CP generator:",
       np.abs(D.matrix - target.matrix).max())
 

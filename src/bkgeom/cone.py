@@ -133,7 +133,8 @@ def cp_cone_model(n: int) -> ConeModel:
     """Equal-coefficient model whose quotient is projective (n-1)-space.
 
     lam_j = -1/(2(n+1)) gives action -(i/2) x and the flipped-sign section,
-    a round sphere of radius sqrt(2).
+    a round sphere of radius sqrt(2).  Its generator() is the projective
+    generator diag(-i/(2(n+1)), ..., -i/(2(n+1)), i n/(2(n+1))) of su(n,1).
     """
     return ConeModel(np.full(n, -1.0 / (2.0 * (n + 1))), sigma_sign=-1)
 

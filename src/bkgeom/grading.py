@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import DEFAULT_TOL, HermitianSpace, SuElement, su_element
+from .hermitian import DEFAULT_TOL, HermitianSpace, SuElement
 
 GRADES = (-2, -1, 0, 1, 2)
 
@@ -226,14 +226,3 @@ def h_action(rho, u) -> np.ndarray:
         raise ValueError("dimension mismatch between rho and u")
     return rho @ u + 0.5 * np.trace(rho) * u
 
-
-def cp_generator(space: HermitianSpace) -> SuElement:
-    """The diagonal generator whose quotient geometry is complex projective space.
-
-    In su(n,1) this is diag(-i/(2(n+1)), ..., -i/(2(n+1)), i n/(2(n+1))).
-    """
-    n = space.n
-    a = -1j / (2.0 * (n + 1))
-    diag = np.full(n + 1, a, dtype=complex)
-    diag[n] = 1j * n / (2.0 * (n + 1))
-    return su_element(np.diag(diag), space)

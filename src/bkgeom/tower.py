@@ -145,12 +145,6 @@ def sp_square(x) -> np.ndarray:
     return 2.0 * np.outer(x, J0 @ x)
 
 
-def is_sp(M) -> bool:
-    M = np.asarray(M, dtype=float)
-    O = KaehlerModel(M.shape[0] // 2).J.T
-    return np.linalg.norm(M.T @ O + O @ M) <= 1e-10 * max(1.0, np.linalg.norm(M))
-
-
 def random_sp(rng: np.random.Generator, m: int) -> np.ndarray:
     """The Cayley map of a norm-0.6 random sp(k, R) element (sp = Omega * symmetric).
 
@@ -215,8 +209,6 @@ def duality_action_check(a, samples: int = 10, seed: int = 0,
     twist = algebra_action(a, np.eye(m))   # a + tr(a) I
     M_twist = complex_to_real_endo(twist)
     M_plain = complex_to_real_endo(a)
-    if not is_sp(M_twist) or not is_sp(M_plain):
-        raise AssertionError("realified u(m) element left sp(m, R)")
 
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, timesteps)

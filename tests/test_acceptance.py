@@ -41,6 +41,20 @@ for _criterion in selftest.CRITERIA:
     globals()[f"test_criterion_{_criterion.key}"] = _acceptance_test(_criterion)
 
 
+# A `<=` channel that reads exactly 0.0 shows no margin and may be zero by
+# construction.  The one exception is exact in floating point and is killed by
+# the template mutant in tests/test_mutations.py.
+EXACT_ZERO = {("03_curvature_template", "symmetry_residual")}
+
+
+def test_no_gated_residual_reads_exactly_zero():
+    report = selftest.run_selftest(42)
+    zero = {(key, name) for key, crit in report["criteria"].items()
+            for name, ch in crit["channels"].items()
+            if ch["comparison"] == "<=" and ch["observed"] == 0.0}
+    assert zero - EXACT_ZERO == set()
+
+
 def test_criterion_10_selftest_determinism(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):

@@ -10,7 +10,7 @@ import pytest
 
 from bkgeom import jsonio, orbits
 from bkgeom.cli import main
-from bkgeom.grading import cp_generator
+from bkgeom.cone import cp_cone_model
 from bkgeom.hermitian import HermitianSpace, random_su, su_element, su_project
 
 
@@ -32,7 +32,7 @@ def run_process(*args):
 @pytest.fixture(scope="module")
 def cp_matrix(tmp_path_factory):
     path = tmp_path_factory.mktemp("mats") / "cp.json"
-    cp = cp_generator(HermitianSpace(3))
+    cp = cp_cone_model(3).generator()
     path.write_text(jsonio.dumps(jsonio.matrix_to_json(cp.matrix)))
     return str(path)
 

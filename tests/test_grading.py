@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from bkgeom.cone import cp_cone_model
 from bkgeom.grading import (
     NormalizationError,
     StructureFunctions,
     assemble,
-    cp_generator,
     grade_split,
     grading_basis,
     h_action,
@@ -147,9 +147,8 @@ class TestStructureFunctions:
         # at a section point the normal form reads rho = i/(n+1) at scale -2
         # (see test_cone).  Both are pinned so the difference stays visible.
         for n in (2, 3, 4):
-            sp = HermitianSpace(n)
             gb = grading_basis(n)
-            sf = structure_functions(cp_generator(sp), gb)
+            sf = structure_functions(cp_cone_model(n).generator(), gb)
             assert isinstance(sf, StructureFunctions)
             m = n - 1
             assert np.abs(sf.rho - (2.0 / (n + 1)) * 1j * np.eye(m)).max() < 1e-12

@@ -1,0 +1,77 @@
+"""A mutation table: each row breaks one piece of src and names the channels that catch it.
+
+A row monkeypatches src attributes, runs one criterion of
+`bkgeom.selftest.CRITERIA` with `run_criterion` at its selftest sizes
+(scale 1) and seed 42, and asserts that exactly the named channels fail.
+A row that names no channel is a known blind spot: the whole criterion
+still passes under that mutant, and its reason says which ROADMAP item
+gives the criterion the content to catch it.
+"""
+
+import numpy as np
+import pytest
+
+from bkgeom import cone, curvature, orbits, selftest, tower
+
+SEED = 42
+
+_realify = curvature.complex_to_real_endo
+_template = curvature.rho_template_endo
+
+
+def _conjugate_spectrum(A):
+    """char_poly of the complex-conjugated spectrum."""
+    w = orbits._analysis(A).eigenvalues.conj()
+    return orbits.CharPoly(np.poly(w), A, w)
+
+
+def _untwisted_action(a, X):
+    """The cone action a X, without the trace twist tr(a) X."""
+    return np.asarray(a, dtype=complex) @ np.asarray(X, dtype=complex)
+
+
+def _conjugated_realification(C):
+    return _realify(np.conj(C))
+
+
+def _template_without_x_ry_term(rho, X, Y, model):
+    """rho_template_endo less its wedge(X, rY J0^T) term."""
+    X = np.asarray(X, dtype=float)
+    rYJ = np.einsum("...kl,...l->...k", np.asarray(rho, dtype=float), Y) @ model.J.T
+    return _template(rho, X, Y, model) - (curvature._outer(rYJ, X) - curvature._outer(X, rYJ))
+
+
+NO_TWIST = ((cone, "algebra_action", _untwisted_action),
+            (tower, "algebra_action", _untwisted_action))
+
+# (mutant, patches, criterion number, channels that must fail, reason for an empty set)
+MUTANTS = (
+    ("charpoly_conjugate_spectrum", ((orbits, "char_poly", _conjugate_spectrum),),
+     2, {"projective_closed_form"}, None),
+    ("no_trace_twist", NO_TWIST, 6, {"pipeline_hs_mean"}, None),
+    ("no_trace_twist", NO_TWIST, 8, {"action_agreement"}, None),
+    ("no_trace_twist", NO_TWIST, 9, set(),
+     "both flows share one twist, so 09 compares realifications only (ROADMAP item 3)"),
+    ("conjugated_realification",
+     ((tower, "complex_to_real_endo", _conjugated_realification),),
+     9, {"twisted_trajectory"}, None),
+    ("template_without_x_ry_term",
+     ((curvature, "rho_template_endo", _template_without_x_ry_term),),
+     3, {"symmetry_residual"}, None),
+)
+
+
+@pytest.mark.parametrize("mutant, patches, number, killed, reason", MUTANTS,
+                         ids=[f"{row[0]}-{row[2]:02d}" for row in MUTANTS])
+def test_mutant_fails_named_channels(monkeypatch, mutant, patches, number, killed, reason):
+    assert bool(killed) != bool(reason)
+    criterion = next(c for c in selftest.CRITERIA if c.number == number)
+    for module, name, replacement in patches:
+        monkeypatch.setattr(module, name, replacement)
+    curvature._rho_design.cache_clear()   # the fit's design is built from the template
+    try:
+        result = selftest.run_criterion(criterion, SEED, criterion.selftest(1), 1e-4)
+    finally:
+        curvature._rho_design.cache_clear()
+    failed = {name for name, ch in result["channels"].items() if not selftest._passes(ch)}
+    assert failed == killed, result["channels"]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bkgeom import grading, orbits
-from bkgeom.grading import cp_generator
+from bkgeom.cone import cp_cone_model
 from bkgeom.hermitian import (
     HermitianSpace,
     group_conjugator,
@@ -110,7 +110,7 @@ class TestClassify:
             assert classify(random_su(seed, sp, profile)).tag == tag
 
     def test_projective_generator_is_type_one(self):
-        assert classify(cp_generator(HermitianSpace(3))).tag == "1"
+        assert classify(cp_cone_model(3).generator()).tag == "1"
 
     def test_epsilon_calibration_on_standard_null_vector(self):
         # the calibration convention: wedge_j((1, 0, ..., 0, 1)) is "2a"
@@ -237,8 +237,7 @@ class TestCharPoly:
     def test_projective_generator_closed_form(self):
         # (t + i/(2(n+2)))^(n+1) (t - i(n+1)/(2(n+2))) for the ambient n+1 case
         for n in (1, 2, 3):
-            sp = HermitianSpace(n + 1)
-            pc = char_poly(cp_generator(sp))
+            pc = char_poly(cp_cone_model(n + 1).generator())
             target = np.poly(np.concatenate([
                 np.full(n + 1, -1j / (2 * (n + 2))),
                 [1j * (n + 1) / (2 * (n + 2))]]))
@@ -261,8 +260,7 @@ class TestCharPoly:
         # the block factorization with the -2i cofactor pairing reproduces
         # det(A - tI) to roundoff; the literal trace-shifted display does not,
         # and its measured discrepancy is reported rather than patched
-        sp = HermitianSpace(3)
-        pc = char_poly(cp_generator(sp))
+        pc = char_poly(cp_cone_model(3).generator())
         assert pc.factored_residual is not None
         assert pc.factored_residual < 1e-12
         assert pc.displayed_residual is not None
@@ -276,7 +274,7 @@ class TestCharPoly:
 
     def test_cross_check_runs_on_first_read_only(self, monkeypatch):
         calls = count_calls(monkeypatch, grading, "structure_functions")
-        pc = char_poly(cp_generator(HermitianSpace(3)))
+        pc = char_poly(cp_cone_model(3).generator())
         assert len(pc.coefficients) == 5
         assert calls == []
         first = (pc.factored_residual, pc.displayed_residual)

@@ -15,13 +15,13 @@ def proposition_report():
 RECORDS = {
     "ConeModel": lambda: cone.cp_cone_model(2),
     "SuElement": lambda: hermitian.random_su(0, SP, "rank1"),
-    "CharPoly": lambda: orbits.char_poly(grading.cp_generator(SP)),
-    "CanonicalBasis": lambda: orbits.canonical_basis(grading.cp_generator(SP)),
+    "CharPoly": lambda: orbits.char_poly(cone.cp_cone_model(2).generator()),
+    "CanonicalBasis": lambda: orbits.canonical_basis(cone.cp_cone_model(2).generator()),
     "CurvatureTensor": lambda: curvature.curvature_from_rho(
         np.zeros((4, 4)), curvature.KaehlerModel(2)),
     "GradingBasis": lambda: grading.grading_basis(2),
     "StructureFunctions": lambda: grading.structure_functions(
-        grading.cp_generator(SP), grading.grading_basis(2)),
+        cone.cp_cone_model(2).generator(), grading.grading_basis(2)),
     "DistributionFrame": lambda: cone.contact_frame(
         cone.sigma_sample(cone.cp_cone_model(2), 0)[0], cone.cp_cone_model(2)),
     "PropositionReport": proposition_report,

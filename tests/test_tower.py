@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bkgeom import tower
 from bkgeom.cone import (DistributionFrame, algebra_action, contact_frame, cp_cone_model,
                          induced_metric, j_m, random_type1_cone_model)
-from bkgeom.grading import cp_generator
 from bkgeom.curvature import KaehlerModel, complex_to_real_endo, to_real
 from bkgeom.fdgeom import ChartMetric
 from bkgeom.hermitian import HermitianSpace, SuElement, su_element
@@ -19,11 +18,16 @@ from bkgeom.tower import (
     embed_cone_point,
     embed_generator,
     embedded_cone_model,
-    is_sp,
     random_sp,
     sp_square,
     verify_tower_geodesic,
 )
+
+
+def _sp_defect(M):
+    """|M^T Omega + Omega M| relative to max(1, |M|): zero on sp(2k, R)."""
+    O = KaehlerModel(M.shape[0] // 2).J.T
+    return np.linalg.norm(M.T @ O + O @ M) / max(1.0, np.linalg.norm(M))
 
 
 class TestEmbedGenerator:
@@ -31,9 +35,9 @@ class TestEmbedGenerator:
         # the (n-1)-level projective generator with the matched corner entry
         # embeds onto the n-level projective generator
         for n in (2, 3):
-            A = cp_generator(HermitianSpace(n))
+            A = cp_cone_model(n).generator()
             D = embed_generator(A, -1.0 / (2 * (n + 2)))
-            target = cp_generator(HermitianSpace(n + 1))
+            target = cp_cone_model(n + 1).generator()
             assert np.abs(D.matrix - target.matrix).max() < 1e-15
 
     def test_zero_maps_to_zero(self):
@@ -172,7 +176,7 @@ class TestSpSquare:
     def test_lands_in_sp(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert is_sp(sp_square(rng.standard_normal(6)))
+            assert _sp_defect(sp_square(rng.standard_normal(6))) <= 1e-10
 
     def test_sign_quotient(self):
         x = np.array([1.0, -2.0, 0.5, 3.0])
@@ -259,11 +263,22 @@ class TestDuality:
         assert rep.untwisted_residual == pytest.approx(ref[1], rel=1e-12, abs=1e-13)
         assert rep.sq_equivariance == ref[2]
 
-    def test_realified_u_is_sp(self):
+    def test_realified_u_lies_in_sp(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         a = 0.5 * (a - a.conj().T)
-        assert is_sp(complex_to_real_endo(a))
+        assert _sp_defect(complex_to_real_endo(a)) <= 1e-10
+
+    def test_near_skew_input(self):
+        # a norm-0.5 skew-hermitian matrix plus a small hermitian part: a skew
+        # residual of 9e-11 passes the 1e-10 input check and is checked, 1.8e-10 is refused
+        z = np.random.default_rng(5).standard_normal((3, 6)).view(complex)
+        skew, herm = z - z.conj().T, z + z.conj().T
+        skew, herm = 0.5 * skew / np.linalg.norm(skew), herm / np.linalg.norm(herm)
+        rep = duality_action_check(skew + 4.5e-11 * herm, samples=4, seed=0)
+        assert rep.twisted_residual <= 1e-9
+        with pytest.raises(ValueError):
+            duality_action_check(skew + 9e-11 * herm, samples=4, seed=0)
 
 
 def _duality_generators(a):
