@@ -9,7 +9,7 @@ is an exact inverse of the assembly template.
 import numpy as np
 
 from bkgeom.cone import cp_cone_model
-from bkgeom.grading import assemble, grade_split, grading_basis, structure_functions
+from bkgeom.grading import assemble, grading_basis, structure_functions
 from bkgeom.hermitian import HermitianSpace, random_su, su_element
 
 np.set_printoptions(precision=4, suppress=True)
@@ -20,7 +20,7 @@ gb = grading_basis(n)
 
 print("== grade split of a generic element ==")
 A = random_su(2, space, "generic")
-parts = grade_split(A, gb)
+parts = gb.split(A.matrix)
 for k in sorted(parts):
     print(f"grade {k:+d}: norm {np.linalg.norm(parts[k]):.4f}")
 resid = np.linalg.norm(sum(parts.values()) - A.matrix)

@@ -43,7 +43,8 @@ def _read_matrix(path: str) -> np.ndarray:
         else:
             with open(path) as fh:
                 doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # undecodable bytes and nesting past the parser's recursion limit are malformed JSON too
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise BadInput(f"cannot read matrix JSON: {exc}") from None
     try:
         return jsonio.matrix_from_json(doc)
@@ -101,7 +102,7 @@ def _cmd_grade(args) -> dict:
 
     A = _su_input(args)
     basis = grading.grading_basis(A.space.n, validate=False)
-    parts = grading.grade_split(A, basis)
+    parts = basis.split(A.matrix)
     out = {
         "grade_norms": {str(k): float(np.linalg.norm(v)) for k, v in parts.items()},
         "split_completeness": float(np.linalg.norm(
@@ -158,9 +159,7 @@ def _cmd_curvature(args) -> dict:
 def _cmd_verify_cpn(args) -> dict:
     from . import sasaki
 
-    rep = sasaki.cpn_pipeline(args.n, args.fd_step, seed=args.seed,
-                              samples=args.samples)
-    return rep.to_dict()
+    return sasaki.cpn_pipeline(args.n, seed=args.seed, samples=args.samples).to_dict()
 
 
 def _model_from_args(args):
@@ -185,7 +184,7 @@ def _cmd_verify_prop(args) -> dict:
     from . import cone
 
     model = _model_from_args(args)
-    rep = cone.verify_curvature_prop(model, args.samples, args.fd_step, seed=args.seed)
+    rep = cone.verify_curvature_prop(model, args.samples, seed=args.seed)
     out = rep.to_dict()
     out["lambdas"] = list(model.lambdas)
     out["sigma_sign"] = "paper" if model.sigma_sign == 1 else "flipped"
@@ -197,7 +196,7 @@ def _cmd_tower(args) -> dict:
 
     model = cone.random_type1_cone_model(args.n, args.seed)
     rep = tower.verify_tower_geodesic(model, args.lambda0, samples=args.samples,
-                                      fd_step=args.fd_step, seed=args.seed)
+                                      seed=args.seed)
     out = rep.to_dict()
     out["n"] = args.n
     out["seed"] = args.seed
@@ -227,7 +226,7 @@ def _cmd_duality(args) -> dict:
 def _cmd_selftest(args) -> dict:
     from .selftest import run_selftest
 
-    return run_selftest(seed=args.seed, scale=args.scale, fd_step=args.fd_step)
+    return run_selftest(seed=args.seed)
 
 
 def _integer(least: int):
@@ -276,15 +275,12 @@ _OPTIONS = {
                              default=1e-8)),
     "seed": (("--seed",), dict(type=_integer(0), default=0)),
     "samples": (("--samples",), dict(type=_integer(1), default=4)),
-    "fd_step": (("--fd-step",), dict(
-        dest="fd_step", type=_real("a finite number above 0", lambda x: x > 0), default=1e-4)),
     "sigma_sign": (("--sigma-sign",), dict(
         dest="sigma_sign", choices=("paper", "flipped"), default="flipped",
         help="section quadric sign convention; 'flipped' is the one reproducing "
              "the projective-space model")),
     "lambda0": (("--lambda0",), dict(type=_real("a finite number", lambda x: True),
                                      default=0.3)),
-    "scale": (("--scale",), dict(type=_integer(1), default=1)),
 }
 
 _COMMANDS = [
@@ -292,12 +288,11 @@ _COMMANDS = [
     ("grade", _cmd_grade, ("matrix", "tol")),
     ("charpoly", _cmd_charpoly, ("matrix", "tol")),
     ("curvature", _cmd_curvature, ("matrix", "n", "tol", "seed")),
-    ("verify-cpn", _cmd_verify_cpn, ("n", "seed", "samples", "fd_step")),
-    ("verify-prop", _cmd_verify_prop,
-     ("matrix", "n", "seed", "samples", "fd_step", "sigma_sign")),
-    ("tower", _cmd_tower, ("n", "seed", "samples", "fd_step", "lambda0")),
+    ("verify-cpn", _cmd_verify_cpn, ("n", "seed", "samples")),
+    ("verify-prop", _cmd_verify_prop, ("matrix", "n", "seed", "samples", "sigma_sign")),
+    ("tower", _cmd_tower, ("n", "seed", "samples", "lambda0")),
     ("duality", _cmd_duality, ("n", "seed", "samples")),
-    ("selftest", _cmd_selftest, ("seed", "scale", "fd_step")),
+    ("selftest", _cmd_selftest, ("seed",)),
 ]
 
 # options that only steer a seeded fallback, which --matrix replaces

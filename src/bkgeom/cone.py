@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import KaehlerModel, curvature_from_rho
-from .fdgeom import ChartFailureError, ChartMetric, riemann
+from .fdgeom import STEP, ChartFailureError, ChartMetric, riemann
 from .hermitian import HermitianSpace, SuElement, su_element
 
 TRANSVERSALITY_THRESHOLD = 1e-6
@@ -399,7 +399,7 @@ class PropositionReport:
         }
 
 
-def verify_curvature_prop(model: ConeModel, sample_points: int = 6, fd_step: float = 1e-4,
+def verify_curvature_prop(model: ConeModel, sample_points: int = 6, fd_step: float = STEP,
                           seed: int = 0) -> PropositionReport:
     """Finite-difference curvature of the quotient chart vs the rho~ template.
 

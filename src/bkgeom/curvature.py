@@ -131,10 +131,6 @@ class CurvatureTensor:
     n: int
     entries: np.ndarray  # shape (2n, 2n, 2n, 2n)
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
     def sectional(self, X, Y) -> float:
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)

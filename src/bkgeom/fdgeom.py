@@ -33,6 +33,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+# the one finite-difference step: every default of the oracle and its consumers
+STEP = 1e-4
+
+
 class ChartFailureError(ValueError):
     """A chart refused an evaluation point: it left the domain, or the chart degenerated."""
 
@@ -109,14 +113,14 @@ def _christoffels(g, step: float) -> np.ndarray:
     return 0.5 * np.einsum("akl,aijl->akij", ginv, T)
 
 
-def christoffel(chart: ChartMetric, p, step: float = 1e-4) -> np.ndarray:
+def christoffel(chart: ChartMetric, p, step: float = STEP) -> np.ndarray:
     """Gamma[k, i, j] = Gamma^k_ij of the Levi-Civita connection (2 dim + 1 metric evaluations)."""
     p = np.asarray(p, dtype=float)
     g = _sample(chart.at, p, step, _stencil(p.size)[0])
     return _christoffels(g[:, None], step)[0]
 
 
-def riemann(chart: ChartMetric, p, step: float = 1e-4) -> np.ndarray:
+def riemann(chart: ChartMetric, p, step: float = STEP) -> np.ndarray:
     """Curvature tensor at p; R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l).
 
     One metric evaluation per distinct stencil point (2 dim^2 + 2 dim + 1).
@@ -131,7 +135,7 @@ def riemann(chart: ChartMetric, p, step: float = 1e-4) -> np.ndarray:
     return np.einsum("lm,mijk->ijkl", g[0, 0], Rup)
 
 
-def sectional(chart: ChartMetric, p, X, Y, step: float = 1e-4) -> float:
+def sectional(chart: ChartMetric, p, X, Y, step: float = STEP) -> float:
     """g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2)."""
     p = np.asarray(p, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -147,7 +151,7 @@ def sectional(chart: ChartMetric, p, X, Y, step: float = 1e-4) -> float:
 
 
 def second_fundamental_form(ambient_chart: ChartMetric, embeddings: Sequence, p,
-                            step: float = 1e-4) -> tuple[float, ...]:
+                            step: float = STEP) -> tuple[float, ...]:
     """The norm of II, max over (i, j) of the ambient length of II(e_i, e_j), per embedding.
 
     II(X, Y) is the normal component of the ambient covariant derivative.

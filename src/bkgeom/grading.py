@@ -71,6 +71,7 @@ class GradingBasis:
         return out
 
     def split(self, A) -> dict[int, np.ndarray]:
+        """The five grade components of A; they sum to A."""
         return {k: self.project(A, k) for k in GRADES}
 
     def h_part(self, A) -> np.ndarray:
@@ -153,13 +154,6 @@ def grading_basis(n: int, validate: bool = True) -> GradingBasis:
             if np.linalg.norm(resid) > 1e-12:
                 raise AssertionError(f"grading bracket relation failed: {label}")
     return basis
-
-
-def grade_split(A: SuElement, basis: GradingBasis | None = None) -> dict[int, np.ndarray]:
-    """Five-component split of a certified element; components sum to A."""
-    if basis is None:
-        basis = grading_basis(A.space.n, validate=False)
-    return basis.split(A.matrix)
 
 
 @dataclass(frozen=True, eq=False)

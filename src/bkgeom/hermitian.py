@@ -77,10 +77,6 @@ class SuElement:
     matrix: np.ndarray
     tolerance_used: float
 
-    @property
-    def n(self) -> int:
-        return self.space.n
-
     def __post_init__(self):
         # a read-only copy: the certificate, and the orbit analysis that
         # `orbits` keeps per element, hold only while the matrix cannot change

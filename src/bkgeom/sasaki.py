@@ -24,8 +24,8 @@ import numpy as np
 
 from .cone import ConeModel, contact_frame, quotient_chart, sigma_sample
 from .curvature import KaehlerModel
-from .fdgeom import (ChartMetric, central_partials, christoffel, cone_metric_chart, riemann,
-                     sectional)
+from .fdgeom import (STEP, ChartMetric, central_partials, christoffel, cone_metric_chart,
+                     riemann, sectional)
 
 
 # -- round spheres in the inverse stereographic chart -------------------------
@@ -118,7 +118,7 @@ class SasakiReport:
         return max(self.unit_residual, self.killing_residual, self.identity_residual)
 
 
-def killing_residual(data: SasakiData, p, step: float = 1e-4) -> float:
+def killing_residual(data: SasakiData, p, step: float = STEP) -> float:
     """Max entry of the Lie derivative (L_xi g)_ij, finite-differenced."""
     p = np.asarray(p, dtype=float)
     g = data.chart.at(p)
@@ -131,7 +131,7 @@ def killing_residual(data: SasakiData, p, step: float = 1e-4) -> float:
     return float(np.abs(lie).max())
 
 
-def sasaki_residual(data: SasakiData, p, step: float = 1e-4) -> SasakiReport:
+def sasaki_residual(data: SasakiData, p, step: float = STEP) -> SasakiReport:
     """Residuals of unit length, Killing property and the Sasaki curvature identity."""
     p = np.asarray(p, dtype=float)
     g = data.chart.at(p)
@@ -154,7 +154,7 @@ class TransversalReport:
     nabla_j_residual: float      # ||(nabla_X J) Y|| over hyperplane pairs
 
 
-def transversal_J(data: SasakiData, p, step: float = 1e-4):
+def transversal_J(data: SasakiData, p, step: float = STEP):
     """J(X) = -nabla_X xi restricted to D = ker g(., xi).
 
     Returns (J matrix, TransversalReport); J^2 = -Id and the vanishing of
@@ -202,7 +202,7 @@ def transversal_J(data: SasakiData, p, step: float = 1e-4):
 
 
 def quotient_hs_curvatures(model: ConeModel, rng: np.random.Generator, count: int,
-                           fd_step: float = 1e-4) -> np.ndarray:
+                           fd_step: float = STEP) -> np.ndarray:
     """Holomorphic sectional curvatures K(X, J0 X) of Sigma / flow at `count` section points.
 
     Each is read at the centre of a point's quotient chart, where the complex
@@ -240,7 +240,7 @@ class PipelineReport:
         }
 
 
-def cone_relation_residual(base: ChartMetric, x, step: float = 1e-4) -> float:
+def cone_relation_residual(base: ChartMetric, x, step: float = STEP) -> float:
     """Residual of R_cone(X,Y)Z = R_base(X,Y)Z + g(X,Z)Y - g(Y,Z)X at t = 1.
 
     Lifted coordinate fields of the product chart restrict to base
@@ -257,7 +257,7 @@ def cone_relation_residual(base: ChartMetric, x, step: float = 1e-4) -> float:
     return float(np.abs(Rc[:d, :d, :d, :d] - (Rb + correction)).max())
 
 
-def cpn_pipeline(n: int, fd_step: float = 1e-4, seed: int = 0,
+def cpn_pipeline(n: int, fd_step: float = STEP, seed: int = 0,
                  samples: int = 3) -> PipelineReport:
     """Round S^(2n+1) -> Sasaki residuals -> flat cone -> CP^n curvature constancy.
 

@@ -1,12 +1,13 @@
 """The acceptance criteria as one table, and the `selftest` battery that runs it.
 
-Each row of CRITERIA is a function (seed, sizes, fd_step) -> channels, where
-a channel {"observed", "threshold", "comparison"} passes when
+Each row of CRITERIA is a function (seed, sizes) -> channels, where a
+channel {"observed", "threshold", "comparison"} passes when
 `observed <comparison> threshold` holds, plus two size presets: the
-`acceptance` sizes tests/test_acceptance.py runs (at ACCEPTANCE_SEED and
-ACCEPTANCE_FD_STEP) and the trimmed `selftest` sizes as a function of
---scale.  A row derives every seed it uses from `seed`, so identical
-(seed, scale, fd_step) inputs give byte-identical serialized reports.
+`acceptance` sizes tests/test_acceptance.py runs (at ACCEPTANCE_SEED) and
+the trimmed `selftest` sizes.  Every finite difference runs at the one
+step `fdgeom.STEP`, against the one gate FD_GATE of criteria 05-08.  A row
+derives every seed it uses from `seed`, so one seed gives byte-identical
+serialized reports.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from typing import Callable
 import numpy as np
 
 from . import cone, curvature, hermitian, orbits, sasaki, tower
-from .fdgeom import cone_metric_chart, riemann
+from .fdgeom import STEP, cone_metric_chart, riemann
 
 ACCEPTANCE_SEED = 0
-ACCEPTANCE_FD_STEP = 1e-4
+# the gate of every finite-difference residual, calibrated at fdgeom.STEP
+FD_GATE = 1e-3
 
 _COMPARE = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
 
@@ -52,7 +54,7 @@ def _orbit(A: hermitian.SuElement) -> tuple:
 # -- criteria --------------------------------------------------------------------
 
 
-def orbit_classifier_soundness(seed: int, sizes: dict, fd_step: float) -> dict:
+def orbit_classifier_soundness(seed: int, sizes: dict) -> dict:
     """Type and sign of seeded elements of every profile and of their conjugates.
 
     sizes["per_profile"] maps n to the draws per profile (jordan2 alternates
@@ -83,7 +85,7 @@ def orbit_classifier_soundness(seed: int, sizes: dict, fd_step: float) -> dict:
             "misclassified_conjugates": _channel(wrong_conj, "==", 0)}
 
 
-def charpoly_invariant(seed: int, sizes: dict, fd_step: float) -> dict:
+def charpoly_invariant(seed: int, sizes: dict) -> dict:
     """Conjugation invariance on generic elements; closed form on projective generators.
 
     sizes["generic"] maps n to the draws; sizes["projective"] lists n for su(n+1, 1).
@@ -110,7 +112,7 @@ def charpoly_invariant(seed: int, sizes: dict, fd_step: float) -> dict:
             "projective_closed_form": _channel(worst_cp, "<=", 1e-12)}
 
 
-def curvature_template(seed: int, sizes: dict, fd_step: float) -> dict:
+def curvature_template(seed: int, sizes: dict) -> dict:
     """Symmetries and least-squares inverse of R_rho (sizes["rho"]: n -> draws); full rank."""
     rng = np.random.default_rng(seed + 42)
     worst_sym = worst_fit = 0.0
@@ -131,7 +133,7 @@ def curvature_template(seed: int, sizes: dict, fd_step: float) -> dict:
             "rank_deficiency": _channel(deficiency, "==", 0)}
 
 
-def direction_flat_lemma(seed: int, sizes: dict, fd_step: float) -> dict:
+def direction_flat_lemma(seed: int, sizes: dict) -> dict:
     """Kernel of the one-direction flatness system (sizes["directions"]: n -> draws)."""
     rng = np.random.default_rng(seed + 7)
     worst = 0
@@ -144,38 +146,38 @@ def direction_flat_lemma(seed: int, sizes: dict, fd_step: float) -> dict:
     return {"kernel_dimension": _channel(worst, "==", 0)}
 
 
-def cone_flatness(seed: int, sizes: dict, fd_step: float) -> dict:
+def cone_flatness(seed: int, sizes: dict) -> dict:
     """Flat cone over S^(2n+1) for n in sizes["spheres"], ellipsoid control, cone relation."""
     flat = 0.0
     for n in sizes["spheres"]:
         chart = cone_metric_chart(sasaki.sphere_chart(2 * n + 1, 1.0))
         x = np.concatenate([[0.2, -0.1, 0.3, 0.1, -0.2][:2 * n + 1], [1.1]])
-        flat = max(flat, float(np.abs(riemann(chart, x, fd_step)).max()))
+        flat = max(flat, float(np.abs(riemann(chart, x)).max()))
     ellipsoid = cone_metric_chart(sasaki.ellipsoid_chart(_ELLIPSOID_AXES))
-    control = float(np.abs(riemann(ellipsoid, np.append(_P3, 1.1), fd_step)).max())
-    relation = sasaki.cone_relation_residual(sasaki.sphere_chart(3, 2.0), _P3, fd_step)
-    return {"flatness": _channel(flat, "<=", 1e-3),
+    control = float(np.abs(riemann(ellipsoid, np.append(_P3, 1.1))).max())
+    relation = sasaki.cone_relation_residual(sasaki.sphere_chart(3, 2.0), _P3)
+    return {"flatness": _channel(flat, "<=", FD_GATE),
             "ellipsoid_control": _channel(control, ">=", 0.1),
-            "relation": _channel(relation, "<=", 1e-3)}
+            "relation": _channel(relation, "<=", FD_GATE)}
 
 
-def sasaki_identity(seed: int, sizes: dict, fd_step: float) -> dict:
+def sasaki_identity(seed: int, sizes: dict) -> dict:
     """Sasaki identity on the circle-action 3-sphere, radius-2 control, CP^1 pipeline."""
-    good = sasaki.sasaki_residual(sasaki.hopf_sphere(3, 1.0), _P3, fd_step)
-    bad = sasaki.sasaki_residual(sasaki.hopf_sphere(3, 2.0), _P3, fd_step)
-    pipe = sasaki.cpn_pipeline(1, fd_step, seed=seed, samples=sizes["pipeline_samples"])
+    good = sasaki.sasaki_residual(sasaki.hopf_sphere(3, 1.0), _P3)
+    bad = sasaki.sasaki_residual(sasaki.hopf_sphere(3, 2.0), _P3)
+    pipe = sasaki.cpn_pipeline(1, seed=seed, samples=sizes["pipeline_samples"])
     hs_mean = abs(float(pipe.quotient_hs_curvatures.mean()) - 4.0) / 4.0
-    return {"identity": _channel(good.identity_residual, "<=", 1e-3),
-            "killing": _channel(good.killing_residual, "<=", 1e-3),
+    return {"identity": _channel(good.identity_residual, "<=", FD_GATE),
+            "killing": _channel(good.killing_residual, "<=", FD_GATE),
             "radius2_control": _channel(bad.identity_residual, ">=", 0.1),
-            "pipeline_sasaki": _channel(pipe.sasaki.max_residual(), "<=", 1e-3),
-            "pipeline_cone_flatness": _channel(pipe.cone_flatness, "<=", 1e-3),
-            "pipeline_cone_relation": _channel(pipe.cone_relation_residual, "<=", 1e-3),
-            "pipeline_hs_spread": _channel(pipe.quotient_hs_spread, "<=", 1e-3),
-            "pipeline_hs_mean": _channel(hs_mean, "<=", 1e-3)}
+            "pipeline_sasaki": _channel(pipe.sasaki.max_residual(), "<=", FD_GATE),
+            "pipeline_cone_flatness": _channel(pipe.cone_flatness, "<=", FD_GATE),
+            "pipeline_cone_relation": _channel(pipe.cone_relation_residual, "<=", FD_GATE),
+            "pipeline_hs_spread": _channel(pipe.quotient_hs_spread, "<=", FD_GATE),
+            "pipeline_hs_mean": _channel(hs_mean, "<=", FD_GATE)}
 
 
-def quotient_curvature_proposition(seed: int, sizes: dict, fd_step: float) -> dict:
+def quotient_curvature_proposition(seed: int, sizes: dict) -> dict:
     """Quotient curvature identity against its wrong-coefficient control.
 
     sizes["points"] are the points on the projective n=2 model and random n=2, 3 models.
@@ -184,14 +186,14 @@ def quotient_curvature_proposition(seed: int, sizes: dict, fd_step: float) -> di
               cone.random_type1_cone_model(3, seed + 12)]
     worst, ratio = 0.0, np.inf
     for i, (model, points) in enumerate(zip(models, sizes["points"])):
-        rep = cone.verify_curvature_prop(model, points, fd_step, seed=seed + 20 + i)
+        rep = cone.verify_curvature_prop(model, points, seed=seed + 20 + i)
         worst = max(worst, rep.max_residual)
         ratio = min(ratio, rep.min_control_ratio)
-    return {"residual": _channel(worst, "<=", 1e-3),
+    return {"residual": _channel(worst, "<=", FD_GATE),
             "control_ratio": _channel(ratio, ">=", 10.0)}
 
 
-def tower_embeddings(seed: int, sizes: dict, fd_step: float) -> dict:
+def tower_embeddings(seed: int, sizes: dict) -> dict:
     """Totally geodesic tower embeddings, their bump control, and action agreement.
 
     The projective n=2 model plus sizes["random_models"] random ones, sizes["samples"] points each.
@@ -207,17 +209,17 @@ def tower_embeddings(seed: int, sizes: dict, fd_step: float) -> dict:
     worst_ii, worst_ctrl, worst_agree = 0.0, np.inf, 0.0
     for i, (model, lam0) in enumerate(cases):
         rep = tower.verify_tower_geodesic(model, lam0, samples=sizes["samples"],
-                                          fd_step=fd_step, seed=seed + 40 + i)
+                                          seed=seed + 40 + i)
         worst_ii = max(worst_ii, rep.max_ii)
         worst_ctrl = min(worst_ctrl, rep.min_control)
         worst_agree = max(worst_agree,
                           tower.action_agreement_residual(model, lam0, seed=seed + 40 + i))
-    return {"second_fundamental_form": _channel(worst_ii, "<=", 1e-3),
+    return {"second_fundamental_form": _channel(worst_ii, "<=", FD_GATE),
             "bump_control": _channel(worst_ctrl, ">=", 0.05),
             "action_agreement": _channel(worst_agree, "<=", 1e-12)}
 
 
-def duality_flows(seed: int, sizes: dict, fd_step: float) -> dict:
+def duality_flows(seed: int, sizes: dict) -> dict:
     """Twisted u(m) cone flow against its sp(m, R) partner (m = 2, 3, 4 in turn); squaring."""
     rng = np.random.default_rng(seed + 5)
     worst_flow = worst_sq = 0.0
@@ -240,9 +242,9 @@ def duality_flows(seed: int, sizes: dict, fd_step: float) -> dict:
 class Criterion:
     number: int
     name: str
-    run: Callable[[int, dict, float], dict]
+    run: Callable[[int, dict], dict]
     acceptance: dict
-    selftest: Callable[[int], dict]   # --scale -> sizes
+    selftest: dict
 
     @property
     def key(self) -> str:
@@ -252,48 +254,46 @@ class Criterion:
 CRITERIA = (
     Criterion(1, "orbit_classifier_soundness", orbit_classifier_soundness,
               {"per_profile": {2: 200, 3: 200, 4: 200}, "conjugations": 5},
-              lambda s: {"per_profile": {2: 4 * s, 3: 4 * s, 4: s}, "conjugations": 1}),
+              {"per_profile": {2: 4, 3: 4, 4: 1}, "conjugations": 1}),
     Criterion(2, "charpoly_invariant", charpoly_invariant,
               {"generic": {2: 8, 3: 8, 4: 8}, "projective": (1, 2, 3)},
-              lambda s: {"generic": {3: 1}, "projective": (2,)}),
+              {"generic": {3: 1}, "projective": (2,)}),
     Criterion(3, "curvature_template", curvature_template,
               {"rho": {1: 34, 2: 33, 3: 33}},
-              lambda s: {"rho": {1: 3 * s, 2: 3 * s, 3: 3 * s}}),
+              {"rho": {1: 3, 2: 3, 3: 3}}),
     Criterion(4, "direction_flat_lemma", direction_flat_lemma,
               {"directions": {1: 20, 2: 20, 3: 20}},
-              lambda s: {"directions": {1: 3 * s, 2: 3 * s, 3: 3 * s}}),
+              {"directions": {1: 3, 2: 3, 3: 3}}),
     Criterion(5, "cone_flatness", cone_flatness,
               {"spheres": (1, 2)},
-              lambda s: {"spheres": (1,)}),
+              {"spheres": (1,)}),
     Criterion(6, "sasaki_identity", sasaki_identity,
               {"pipeline_samples": 2},
-              lambda s: {"pipeline_samples": 2}),
+              {"pipeline_samples": 2}),
     Criterion(7, "quotient_curvature_proposition", quotient_curvature_proposition,
               {"points": (10, 10, 10)},
-              lambda s: {"points": (2 * s, 2 * s, s)}),
+              {"points": (2, 2, 1)}),
     Criterion(8, "tower", tower_embeddings,
               {"random_models": 3, "samples": 3},
-              lambda s: {"random_models": 1, "samples": 2}),
+              {"random_models": 1, "samples": 2}),
     Criterion(9, "duality_flows", duality_flows,
               {"elements": 20, "timesteps": 64},
-              lambda s: {"elements": 2 * s, "timesteps": 16}),
+              {"elements": 2, "timesteps": 16}),
 )
 
 
-def run_criterion(criterion: Criterion, seed: int, sizes: dict, fd_step: float) -> dict:
+def run_criterion(criterion: Criterion, seed: int, sizes: dict) -> dict:
     """{"channels": ..., "pass": ...} of one row at the given seed and sizes."""
-    channels = criterion.run(seed, sizes, fd_step)
+    channels = criterion.run(seed, sizes)
     return {"channels": channels, "pass": all(_passes(ch) for ch in channels.values())}
 
 
-def run_selftest(seed: int = 42, scale: int = 1, fd_step: float = 1e-4) -> dict:
-    """Every criterion at its selftest sizes for `scale`."""
-    criteria = {c.key: run_criterion(c, seed, c.selftest(scale), fd_step)
-                for c in CRITERIA}
+def run_selftest(seed: int = 42) -> dict:
+    """Every criterion at its selftest sizes."""
+    criteria = {c.key: run_criterion(c, seed, c.selftest) for c in CRITERIA}
     return {
         "seed": int(seed),
-        "scale": int(scale),
-        "fd_step": float(fd_step),
+        "fd_step": STEP,
         "criteria": criteria,
         "pass": all(c["pass"] for c in criteria.values()),
     }

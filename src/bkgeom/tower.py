@@ -29,7 +29,7 @@ import numpy as np
 from .cone import (ConeModel, DistributionFrame, algebra_action, contact_frame, induced_metric,
                    quotient_chart, sigma_sample)
 from .curvature import KaehlerModel, complex_to_real_endo, to_real
-from .fdgeom import second_fundamental_form
+from .fdgeom import STEP, second_fundamental_form
 from .hermitian import HermitianSpace, SuElement, cayley, su_element
 
 
@@ -85,7 +85,7 @@ class TowerReport:
 
 
 def verify_tower_geodesic(model: ConeModel, lambda0: float, samples: int = 3,
-                          fd_step: float = 1e-4, seed: int = 0) -> TowerReport:
+                          fd_step: float = STEP, seed: int = 0) -> TowerReport:
     """Second fundamental form of the embedded quotient inside the ambient one.
 
     Both contact frames come from `contact_frame`, and the embedded base

@@ -26,7 +26,7 @@ def _fmt(x):
 def _acceptance_test(criterion):
     def test():
         result = selftest.run_criterion(criterion, selftest.ACCEPTANCE_SEED,
-                                        criterion.acceptance, selftest.ACCEPTANCE_FD_STEP)
+                                        criterion.acceptance)
         detail = ", ".join(
             f"{name} {_fmt(ch['observed'])} ({ch['comparison']}{_fmt(ch['threshold'])})"
             for name, ch in result["channels"].items())

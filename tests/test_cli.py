@@ -29,6 +29,12 @@ def run_process(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True)
 
 
+# matrix files that are not JSON the reader can decode: nesting past the
+# parser's recursion limit, and bytes that are not UTF-8
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+NOT_UTF8 = b'{"n": 1, "matrix": \xff}'
+
+
 @pytest.fixture(scope="module")
 def cp_matrix(tmp_path_factory):
     path = tmp_path_factory.mktemp("mats") / "cp.json"
@@ -66,6 +72,13 @@ class TestClassifyCommand:
         assert r.returncode == 3
         err = json.loads(r.stderr)
         assert err["kind"] == "bad-json"
+
+    @pytest.mark.parametrize("data", [DEEP_JSON, NOT_UTF8], ids=["deeply-nested", "not-utf-8"])
+    def test_undecodable_stdin_is_bad_json(self, data, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        r = run_cli("classify", "-m", "-")
+        assert (r.returncode, r.stdout) == (3, "")
+        assert json.loads(r.stderr)["kind"] == "bad-json"
 
     def test_not_su_exit_code(self, tmp_path):
         path = tmp_path / "notsu.json"
@@ -135,11 +148,18 @@ class TestClassifyCommand:
         assert "--out" in err["error"] and out in err["error"]
 
     def test_ignored_option_is_usage_error(self, cp_matrix):
-        r = run_cli("classify", "-m", cp_matrix, "--n", "3")
-        assert r.returncode == 2
-        err = json.loads(r.stderr)
-        assert err["kind"] == "usage"
-        assert "unrecognized arguments: --n 3" in err["error"]
+        # the finite-difference step and the battery's size are fixed, not options
+        for argv, option in [(("classify", "-m", cp_matrix), "--n 3"),
+                             (("selftest",), "--scale 2"),
+                             (("selftest",), "--fd-step 1e-4"),
+                             (("verify-cpn",), "--fd-step 1e-3"),
+                             (("verify-prop",), "--fd-step 1e-3"),
+                             (("tower",), "--fd-step 1e-3")]:
+            r = run_cli(*argv, *option.split())
+            assert (r.returncode, r.stdout) == (2, "")
+            err = json.loads(r.stderr)
+            assert err["kind"] == "usage"
+            assert f"unrecognized arguments: {option}" in err["error"]
 
     @pytest.mark.parametrize("command, diagonal, extra, option", [
         ("curvature", False, ("--n", "5", "--seed", "9"), "--n"),
@@ -161,7 +181,6 @@ class TestClassifyCommand:
         assert f"argument {option}: not allowed with argument --matrix/-m" in err["error"]
 
     @pytest.mark.parametrize("argv", [
-        ("selftest", "--scale", "0"), ("selftest", "--scale", "-1"),
         ("curvature", "--n", "0"), ("duality", "--n", "0"), ("verify-cpn", "--n", "0"),
         ("verify-prop", "--samples", "0"), ("tower", "--samples", "0")])
     def test_size_below_one_is_usage_error(self, argv, capsys):
@@ -189,8 +208,6 @@ class TestClassifyCommand:
     @pytest.mark.parametrize("command,option,value", [
         ("classify -m -", "--tol", "inf"), ("classify -m -", "--tol", "nan"),
         ("classify -m -", "--tol", "0"), ("grade -m -", "--tol", "1"),
-        ("verify-prop", "--fd-step", "0"), ("verify-prop", "--fd-step", "nan"),
-        ("verify-cpn", "--fd-step", "-1e-4"), ("selftest", "--fd-step", "inf"),
         ("tower", "--lambda0", "nan"), ("tower", "--lambda0", "-inf"),
         ("tower", "--lambda0", "x")])
     def test_float_outside_its_range_is_usage_error(self, command, option, value, capsys):
@@ -353,12 +370,15 @@ class TestProcess:
     """The CLI as a fresh interpreter sees it: one run per exit-code class."""
 
     @pytest.mark.parametrize("bad_json, extra, code", [
-        (False, (), 0), (False, ("--n", "3"), 2), (True, (), 3)])
+        (False, (), 0), (False, ("--n", "3"), 2), (True, (), 3),
+        pytest.param(DEEP_JSON, (), 3, id="deeply-nested"),
+        pytest.param(NOT_UTF8, (), 3, id="not-utf-8")])
     def test_exit_code_classes(self, cp_matrix, tmp_path, bad_json, extra, code):
+        # bad_json: False reads the cp matrix, True "{not json", bytes that file
         path = cp_matrix
         if bad_json:
             path = tmp_path / "bad.json"
-            path.write_text("{not json")
+            path.write_bytes(b"{not json" if bad_json is True else bad_json)
         argv = ("classify", "-m", str(path), *extra)
         r = run_process("-m", "bkgeom.cli", *argv)
         assert r.returncode == code

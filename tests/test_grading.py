@@ -6,7 +6,6 @@ from bkgeom.grading import (
     NormalizationError,
     StructureFunctions,
     assemble,
-    grade_split,
     grading_basis,
     h_action,
     structure_functions,
@@ -70,14 +69,14 @@ class TestGradeSplit:
         sp = HermitianSpace(3)
         gb = grading_basis(3)
         A = random_su(11, sp, "generic")
-        for k, P in grade_split(A, gb).items():
+        for k, P in gb.split(A.matrix).items():
             assert np.linalg.norm(bracket(gb.coroot, P) - k * P) < 1e-10
 
     def test_projector_completeness(self):
         sp = HermitianSpace(4)
         gb = grading_basis(4)
         A = random_su(3, sp, "generic")
-        total = sum(grade_split(A, gb).values())
+        total = sum(gb.split(A.matrix).values())
         rel = np.linalg.norm(total - A.matrix) / np.linalg.norm(A.matrix)
         assert rel < 1e-12
 

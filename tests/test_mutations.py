@@ -2,7 +2,7 @@
 
 A row monkeypatches src attributes, runs one criterion of
 `bkgeom.selftest.CRITERIA` with `run_criterion` at its selftest sizes
-(scale 1) and seed 42, and asserts that exactly the named channels fail.
+and seed 42, and asserts that exactly the named channels fail.
 A row that names no channel is a known blind spot: the whole criterion
 still passes under that mutant, and its reason says which ROADMAP item
 gives the criterion the content to catch it.
@@ -11,12 +11,15 @@ gives the criterion the content to catch it.
 import numpy as np
 import pytest
 
-from bkgeom import cone, curvature, orbits, selftest, tower
+from bkgeom import cone, curvature, fdgeom, orbits, sasaki, selftest, tower
+from bkgeom.hermitian import HermitianSpace, SuElement
 
 SEED = 42
 
 _realify = curvature.complex_to_real_endo
 _template = curvature.rho_template_endo
+_riemann = fdgeom.riemann
+_quotient_template = cone.curvature_template_at
 
 
 def _conjugate_spectrum(A):
@@ -41,6 +44,32 @@ def _template_without_x_ry_term(rho, X, Y, model):
     return _template(rho, X, Y, model) - (curvature._outer(rYJ, X) - curvature._outer(X, rYJ))
 
 
+def _riemann_flipped_gamma_gamma(chart, p, step=fdgeom.STEP):
+    """riemann with the sign of its Gamma.Gamma terms flipped."""
+    G = fdgeom.christoffel(chart, p, step)
+    GG = np.einsum("lim,mjk->lijk", G, G) - np.einsum("ljm,mik->lijk", G, G)
+    return _riemann(chart, p, step) - 2.0 * np.einsum("lm,mijk->ijkl", chart.at(p), GG)
+
+
+def _scaled_quotient_template(frame, half_rho=True):
+    return 1.01 * _quotient_template(frame, half_rho)
+
+
+def _embed_without_shift(A, lambda0):
+    """embed_generator less the -i lambda0/(n+1) shift of its block.
+
+    Built without su_element, whose trace check would refuse the result first.
+    """
+    d = A.matrix.shape[0]
+    out = np.zeros((d + 1, d + 1), dtype=complex)
+    out[0, 0] = 1j * lambda0
+    out[1:, 1:] = A.matrix
+    return SuElement(HermitianSpace(A.space.n + 1), out, A.tolerance_used)
+
+
+# cone, sasaki and selftest import riemann by value
+FLIPPED_GAMMA_GAMMA = tuple((module, "riemann", _riemann_flipped_gamma_gamma)
+                            for module in (fdgeom, cone, sasaki, selftest))
 NO_TWIST = ((cone, "algebra_action", _untwisted_action),
             (tower, "algebra_action", _untwisted_action))
 
@@ -58,6 +87,14 @@ MUTANTS = (
     ("template_without_x_ry_term",
      ((curvature, "rho_template_endo", _template_without_x_ry_term),),
      3, {"symmetry_residual"}, None),
+    ("riemann_flipped_gamma_gamma", FLIPPED_GAMMA_GAMMA, 5, {"flatness", "relation"}, None),
+    ("riemann_flipped_gamma_gamma", FLIPPED_GAMMA_GAMMA, 6,
+     {"identity", "pipeline_sasaki", "pipeline_cone_flatness", "pipeline_cone_relation"}, None),
+    ("riemann_flipped_gamma_gamma", FLIPPED_GAMMA_GAMMA, 7, {"residual"}, None),
+    ("quotient_template_scaled",
+     ((cone, "curvature_template_at", _scaled_quotient_template),), 7, {"residual"}, None),
+    ("embed_without_lambda0_shift", ((tower, "embed_generator", _embed_without_shift),),
+     8, {"action_agreement"}, None),
 )
 
 
@@ -70,7 +107,7 @@ def test_mutant_fails_named_channels(monkeypatch, mutant, patches, number, kille
         monkeypatch.setattr(module, name, replacement)
     curvature._rho_design.cache_clear()   # the fit's design is built from the template
     try:
-        result = selftest.run_criterion(criterion, SEED, criterion.selftest(1), 1e-4)
+        result = selftest.run_criterion(criterion, SEED, criterion.selftest)
     finally:
         curvature._rho_design.cache_clear()
     failed = {name for name, ch in result["channels"].items() if not selftest._passes(ch)}
