@@ -31,8 +31,10 @@ frame Gram matrix or the frame matrix of an endomorphism is one call.
 Quotient charts (`quotient_chart`, on a frame from `contact_frame`): the
 local slice through p is the affine span of a contact frame, renormalized
 radially onto Sigma; slice tangents are projected onto the contact
-distribution along xi0 and paired with g_D.  The curvature of that chart
-metric is compared against the template
+distribution along xi0 and paired with g_D.  A chart makes its slice real
+once, when it is built, so each metric evaluation is a few real matrix
+products.  The curvature of that chart metric is compared against the
+template
 
     R = R_(rho~/2),    rho~ = -2 rho_M - |act p|^2 J,
 
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import KaehlerModel, curvature_from_rho
+from .curvature import KaehlerModel, complex_to_real_endo, curvature_from_rho, to_real
 from .fdgeom import STEP, ChartFailureError, ChartMetric, riemann
 from .hermitian import HermitianSpace, SuElement, su_element
 
@@ -319,20 +321,26 @@ def quotient_chart(frame: DistributionFrame) -> ChartMetric:
         g(s) = (-1 / lambda(xi0)) g_D(psi; H, H),   xi0 = act psi,
 
     with H = F - xi0 lambda(F) / lambda(xi0) the frame pushed into the
-    contact distribution along xi0.
+    contact distribution along xi0.  The slice is made real once per chart:
+    F and p in stacked coordinates, and one matrix stacking act over J, so
+    each evaluation is a few real matrix products.  The outer product h h
+    is taken before it is divided, which keeps every metric exactly symmetric.
     """
-    model = frame.model
-    p0 = frame.point
-    F = frame.vectors
+    F = to_real(frame.vectors.T).T
+    Ft = F.T
+    p0 = to_real(frame.point)
+    act_j = np.vstack([complex_to_real_endo(frame.model.action),
+                       complex_to_real_endo(1j * np.eye(frame.model.n))])
 
     def ev(s):
-        psi = p0 + F @ s.astype(complex)
-        xi0 = model.act(psi)
-        lam_xi = contact_form(xi0, psi)
-        if lam_xi >= 0.0:
+        psi = p0 + F @ s
+        xi0, j_psi = (act_j @ psi).reshape(2, -1)
+        lam_xi = xi0 @ j_psi
+        if not lam_xi < 0.0:
             raise ChartFailureError("slice left the section's radial domain")
-        H = F - _along(xi0, contact_form(F, psi) / lam_xi)
-        return (-1.0 / lam_xi) * induced_metric(psi, H, H)
+        H = F - _along(xi0, (Ft @ j_psi) / lam_xi)
+        h = H.T @ psi
+        return (-1.0 / lam_xi) * (H.T @ H - _along(h, h) / (psi @ psi))
 
     return ChartMetric(frame.count, ev)
 

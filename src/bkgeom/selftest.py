@@ -180,10 +180,12 @@ def sasaki_identity(seed: int, sizes: dict) -> dict:
 def quotient_curvature_proposition(seed: int, sizes: dict) -> dict:
     """Quotient curvature identity against its wrong-coefficient control.
 
-    sizes["points"] are the points on the projective n=2 model and random n=2, 3 models.
+    sizes["points"] are the points on the projective n=2 model and random n=2, 3, 4
+    models (chart dimensions 2, 2, 4, 6).
     """
     models = [cone.cp_cone_model(2), cone.random_type1_cone_model(2, seed + 11),
-              cone.random_type1_cone_model(3, seed + 12)]
+              cone.random_type1_cone_model(3, seed + 12),
+              cone.random_type1_cone_model(4, seed + 13)]
     worst, ratio = 0.0, np.inf
     for i, (model, points) in enumerate(zip(models, sizes["points"])):
         rep = cone.verify_curvature_prop(model, points, seed=seed + 20 + i)
@@ -271,8 +273,8 @@ CRITERIA = (
               {"pipeline_samples": 2},
               {"pipeline_samples": 2}),
     Criterion(7, "quotient_curvature_proposition", quotient_curvature_proposition,
-              {"points": (10, 10, 10)},
-              {"points": (2, 2, 1)}),
+              {"points": (10, 10, 10, 10)},
+              {"points": (2, 2, 1, 1)}),
     Criterion(8, "tower", tower_embeddings,
               {"random_models": 3, "samples": 3},
               {"random_models": 1, "samples": 2}),

@@ -23,6 +23,7 @@ report records as the untwisted channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -84,6 +85,15 @@ class TowerReport:
         }
 
 
+@cache
+def _frame_turn(n: int) -> np.ndarray:
+    """The fixed real unitary of R^(2n) that turns the ambient frame coordinates."""
+    M = np.random.default_rng(0).standard_normal((n, 2 * n)).view(complex)
+    turn = complex_to_real_endo(cayley(M - M.conj().T))
+    turn.setflags(write=False)   # one array is shared by every call at this n
+    return turn
+
+
 def verify_tower_geodesic(model: ConeModel, lambda0: float, samples: int = 3,
                           fd_step: float = STEP, seed: int = 0) -> TowerReport:
     """Second fundamental form of the embedded quotient inside the ambient one.
@@ -101,8 +111,7 @@ def verify_tower_geodesic(model: ConeModel, lambda0: float, samples: int = 3,
     big = embedded_cone_model(model, lambda0)
     pts = sigma_sample(model, seed, samples)
     rng = np.random.default_rng(seed + 1)
-    M = np.random.default_rng(0).standard_normal((model.n, 2 * model.n)).view(complex)
-    mix = complex_to_real_endo(cayley(M - M.conj().T))
+    mix = _frame_turn(model.n)
     ii_norms, controls, iso = [], [], []
     for p in pts:
         frame = contact_frame(p, model)

@@ -384,6 +384,42 @@ class TestContactFormIdentities:
         assert np.abs(lhs - np.linalg.det(G) * (G @ x)).max() < 1e-10
 
 
+def _chart_formula(frame, s):
+    """quotient_chart's docstring formula, transcribed in complex arithmetic."""
+    model, F = frame.model, frame.vectors
+    psi = frame.point + F @ s
+    xi0 = model.act(psi)
+    lam_xi = contact_form(xi0, psi)
+    H = F - np.multiply.outer(xi0, contact_form(F, psi) / lam_xi)
+    return (-1.0 / lam_xi) * induced_metric(psi, H, H)
+
+
+class TestQuotientChart:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_complex_formula_and_is_symmetric(self, n):
+        # the real-coordinate chart agrees with the complex formula at roundoff
+        # on projective, random and mixed-sign models, and every metric is
+        # exactly symmetric
+        alpha = np.random.default_rng(n).uniform(0.25, 1.0, n) * (-1.0) ** np.arange(n)
+        mixed = ConeModel(alpha - alpha.sum() / (n + 1), sigma_sign=1)
+        rng = np.random.default_rng(n)
+        for model in (cp_cone_model(n), random_type1_cone_model(n, n), mixed):
+            frame = contact_frame(sigma_sample(model, n, 1)[0], model)
+            chart = quotient_chart(frame)
+            for _ in range(10):
+                s = rng.standard_normal(frame.count)
+                s *= 1e-2 / np.linalg.norm(s)
+                g, ref = chart.at(s), _chart_formula(frame, s)
+                assert np.abs(g - ref).max() <= 1e-14 * np.abs(ref).max()
+                assert np.array_equal(g, g.T)
+
+    def test_nan_slice_point_is_refused(self):
+        model = random_type1_cone_model(3, 0)
+        chart = quotient_chart(contact_frame(sigma_sample(model, 0, 1)[0], model))
+        with pytest.raises(fdgeom.ChartFailureError):
+            chart.at(np.full(chart.dim, np.nan))
+
+
 class TestCurvatureProposition:
     def test_projective_model(self):
         rep = verify_curvature_prop(cp_cone_model(2), 4, 1e-4, seed=0)

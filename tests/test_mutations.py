@@ -55,6 +55,17 @@ def _scaled_quotient_template(frame, half_rho=True):
     return 1.01 * _quotient_template(frame, half_rho)
 
 
+def _chart_without_push(frame):
+    """quotient_chart with the frame left unpushed along xi0: H = F."""
+    model, F = frame.model, frame.vectors
+
+    def ev(s):
+        psi = frame.point + F @ s
+        return (-1.0 / cone.contact_form(model.act(psi), psi)) * cone.induced_metric(psi, F, F)
+
+    return fdgeom.ChartMetric(frame.count, ev)
+
+
 def _embed_without_shift(A, lambda0):
     """embed_generator less the -i lambda0/(n+1) shift of its block.
 
@@ -72,6 +83,9 @@ FLIPPED_GAMMA_GAMMA = tuple((module, "riemann", _riemann_flipped_gamma_gamma)
                             for module in (fdgeom, cone, sasaki, selftest))
 NO_TWIST = ((cone, "algebra_action", _untwisted_action),
             (tower, "algebra_action", _untwisted_action))
+# cone, tower and sasaki import quotient_chart by value
+UNPUSHED_CHART = tuple((module, "quotient_chart", _chart_without_push)
+                       for module in (cone, tower, sasaki))
 
 # (mutant, patches, criterion number, channels that must fail, reason for an empty set)
 MUTANTS = (
@@ -91,6 +105,8 @@ MUTANTS = (
     ("riemann_flipped_gamma_gamma", FLIPPED_GAMMA_GAMMA, 6,
      {"identity", "pipeline_sasaki", "pipeline_cone_flatness", "pipeline_cone_relation"}, None),
     ("riemann_flipped_gamma_gamma", FLIPPED_GAMMA_GAMMA, 7, {"residual"}, None),
+    ("chart_without_push", UNPUSHED_CHART, 6, {"pipeline_hs_mean"}, None),
+    ("chart_without_push", UNPUSHED_CHART, 7, {"residual", "control_ratio"}, None),
     ("quotient_template_scaled",
      ((cone, "curvature_template_at", _scaled_quotient_template),), 7, {"residual"}, None),
     ("embed_without_lambda0_shift", ((tower, "embed_generator", _embed_without_shift),),
